@@ -3,163 +3,12 @@
 #include "automata/Determinize.h"
 
 #include "engine/Engine.h"
-#include "support/Hashing.h"
 
 #include <algorithm>
 #include <cassert>
 #include <map>
 
 using namespace fast;
-
-namespace {
-
-struct StateSetHash {
-  size_t operator()(const StateSet &Set) const {
-    std::size_t Seed = Set.size();
-    for (unsigned Q : Set)
-      hashCombineValue(Seed, Q);
-    return Seed;
-  }
-};
-
-struct WorkItemHash {
-  size_t
-  operator()(const std::pair<unsigned, std::vector<unsigned>> &Item) const {
-    std::size_t Seed = Item.first;
-    for (unsigned Q : Item.second)
-      hashCombineValue(Seed, Q);
-    return Seed;
-  }
-};
-
-/// Phase A of a parallel determinization (engine/ParallelExploration.h):
-/// explore the subset construction's reachable space with \p LaneCount
-/// worker lanes, publishing every guard verdict into the session's shared
-/// VerdictCache.  Nothing is materialized — the sequential pass below
-/// replays the construction and finds its solver queries pre-answered, so
-/// its output is byte-identical to a run that never warmed.
-///
-/// Budgets are honoured approximately (det states through the interner's
-/// key budget, steps/timeout/cancellation through WarmConfig) and trips
-/// stop warming early without error; the replay pass re-enforces them
-/// with exact sequential semantics.
-void warmDeterminize(engine::SessionEngine &E, const Sta &A,
-                     unsigned LaneCount) {
-  const SignatureRef &Sig = A.signature();
-  auto Lanes = E.Lanes.acquire(LaneCount, E.Verdicts, E.Solv.timeoutMs());
-
-  using WorkItem = std::pair<unsigned, std::vector<unsigned>>;
-  engine::ShardedStateInterner<StateSet, StateSetHash> DetStates(
-      E.Limits.MaxStates);
-  engine::ShardedStateInterner<WorkItem, WorkItemHash> WorkItems;
-  engine::WarmFrontier Frontier;
-
-  auto EnqueueItem = [&](unsigned CtorId, std::vector<unsigned> Tuple) {
-    auto R = WorkItems.intern({CtorId, std::move(Tuple)});
-    if (R.Admitted && R.Fresh)
-      Frontier.enqueue(R.Id);
-  };
-
-  // The sequential scheduler's "every tuple is scheduled once, when its
-  // largest det state is created" invariant is interleaving-independent:
-  // ids are assigned densely, so when state N exists all states below N
-  // do too, and the work-item interner deduplicates races.
-  auto ScheduleTuplesWith = [&](unsigned NewState) {
-    for (unsigned CtorId = 0; CtorId < Sig->numConstructors(); ++CtorId) {
-      unsigned Rank = Sig->rank(CtorId);
-      if (Rank == 0)
-        continue;
-      std::vector<unsigned> Tuple(Rank, 0);
-      bool More = true;
-      while (More) {
-        bool SuffixHasNew =
-            std::find(Tuple.begin() + 1, Tuple.end(), NewState) != Tuple.end();
-        if (SuffixHasNew) {
-          for (unsigned First = 0; First <= NewState; ++First) {
-            Tuple[0] = First;
-            EnqueueItem(CtorId, Tuple);
-          }
-        } else {
-          Tuple[0] = NewState;
-          EnqueueItem(CtorId, Tuple);
-        }
-        Tuple[0] = 0;
-        More = false;
-        for (unsigned I = 1; I < Rank; ++I) {
-          if (++Tuple[I] <= NewState) {
-            More = true;
-            break;
-          }
-          Tuple[I] = 0;
-        }
-      }
-    }
-  };
-
-  auto GetState = [&](StateSet Set) {
-    canonicalizeStateSet(Set);
-    auto R = DetStates.intern(std::move(Set));
-    if (R.Admitted && R.Fresh)
-      ScheduleTuplesWith(R.Id);
-  };
-
-  std::vector<std::vector<unsigned>> RulesByCtor(Sig->numConstructors());
-  for (unsigned Index = 0; Index < A.numRules(); ++Index)
-    RulesByCtor[A.rule(Index).CtorId].push_back(Index);
-
-  for (unsigned CtorId = 0; CtorId < Sig->numConstructors(); ++CtorId)
-    if (Sig->rank(CtorId) == 0)
-      EnqueueItem(CtorId, {});
-
-  engine::WarmConfig Config;
-  Config.MaxSteps = E.Limits.MaxSteps;
-  Config.Timeout = E.Limits.Timeout;
-  Config.CancelRequested = E.Limits.CancelRequested;
-  Config.Clock = E.Limits.Clock;
-  Config.AbortWhen = [&] { return DetStates.tripped(); };
-
-  Frontier.run(Lanes, Config, [&](engine::ExploreLane &Lane, unsigned ItemId) {
-    if (DetStates.tripped())
-      return;
-    const auto &[CtorId, Tuple] = WorkItems.key(ItemId);
-    unsigned Rank = Sig->rank(CtorId);
-
-    struct ApplicableRule {
-      TermRef Guard;
-      unsigned Target;
-    };
-    std::vector<ApplicableRule> Applicable;
-    for (unsigned Index : RulesByCtor[CtorId]) {
-      const StaRule &R = A.rule(Index);
-      bool Ok = true;
-      for (unsigned I = 0; I < Rank && Ok; ++I) {
-        const StateSet &ChildSet = DetStates.key(Tuple[I]);
-        Ok = std::binary_search(ChildSet.begin(), ChildSet.end(),
-                                R.Lookahead[I].front());
-      }
-      if (Ok)
-        Applicable.push_back({R.Guard, R.State});
-    }
-
-    std::vector<TermRef> Guards;
-    for (const ApplicableRule &AR : Applicable)
-      Guards.push_back(AR.Guard);
-    const engine::ExploreLane::MintermRows &Split = Lane.minterms(Guards);
-    std::map<TermRef, unsigned> GuardIndex;
-    for (unsigned I = 0; I < Split.Guards.size(); ++I)
-      GuardIndex[Split.Guards[I]] = I;
-
-    for (const std::vector<bool> &Row : Split.Rows) {
-      StateSet Target;
-      for (const ApplicableRule &AR : Applicable)
-        if (Row[GuardIndex[AR.Guard]])
-          Target.push_back(AR.Target);
-      GetState(std::move(Target));
-    }
-  });
-}
-
-} // namespace
 
 StateSet DeterminizedSta::acceptingFor(const StateSet &Roots) const {
   StateSet Result;
@@ -182,12 +31,6 @@ DeterminizedSta fast::determinize(Solver &S, const Sta &A) {
   engine::ConstructionScope Scope(E.Stats, "determinize");
   engine::GuardCache &G = E.Guards;
   const SignatureRef &Sig = A.signature();
-
-  // Parallel route: warm the shared verdict cache with N lanes, then let
-  // the sequential construction below replay over pre-answered queries.
-  // Inputs below the lane threshold skip warming (deterministic fallback).
-  if (unsigned LaneCount = engine::parallelLanesFor(E.Limits, A.numRules()))
-    warmDeterminize(E, A, LaneCount);
 
   DeterminizedSta Result;
   Result.Automaton = std::make_shared<Sta>(Sig);

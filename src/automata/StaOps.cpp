@@ -3,7 +3,6 @@
 #include "automata/StaOps.h"
 
 #include "engine/Engine.h"
-#include "support/Hashing.h"
 
 #include <algorithm>
 #include <cassert>
@@ -39,86 +38,6 @@ std::vector<StateSet> unionLookahead(const std::vector<StateSet> &X,
   return Result;
 }
 
-struct StateSetHash {
-  size_t operator()(const StateSet &Set) const {
-    std::size_t Seed = Set.size();
-    for (unsigned Q : Set)
-      hashCombineValue(Seed, Q);
-    return Seed;
-  }
-};
-
-/// Phase A of a parallel normalization (engine/ParallelExploration.h):
-/// explore the merged-state fixpoint with \p LaneCount lanes, replicating
-/// the merge-loop's guard conjunctions in each lane's private factory and
-/// publishing every satisfiability verdict to the shared VerdictCache by
-/// structural fingerprint.  The sequential pass below then replays the
-/// construction over pre-answered queries and is the only code that emits
-/// states/rules, so output is byte-identical to an unwarmed run.
-void warmNormalizeSets(engine::SessionEngine &E, const Sta &A,
-                       std::span<const StateSet> Seeds, unsigned LaneCount) {
-  const SignatureRef &Sig = A.signature();
-  auto Lanes = E.Lanes.acquire(LaneCount, E.Verdicts, E.Solv.timeoutMs());
-
-  engine::ShardedStateInterner<StateSet, StateSetHash> Merged(
-      E.Limits.MaxStates);
-  engine::WarmFrontier Frontier;
-
-  auto GetState = [&](StateSet Set) {
-    canonicalizeStateSet(Set);
-    auto R = Merged.intern(std::move(Set));
-    if (R.Admitted && R.Fresh)
-      Frontier.enqueue(R.Id);
-  };
-
-  for (const StateSet &Seed : Seeds)
-    GetState(Seed);
-
-  engine::WarmConfig Config;
-  Config.MaxSteps = E.Limits.MaxSteps;
-  Config.Timeout = E.Limits.Timeout;
-  Config.CancelRequested = E.Limits.CancelRequested;
-  Config.Clock = E.Limits.Clock;
-  Config.AbortWhen = [&] { return Merged.tripped(); };
-
-  Frontier.run(Lanes, Config, [&](engine::ExploreLane &Lane, unsigned Source) {
-    if (Merged.tripped())
-      return;
-    TermFactory &LF = Lane.factory();
-    const StateSet &MergedSet = Merged.key(Source);
-    for (unsigned CtorId = 0; CtorId < Sig->numConstructors(); ++CtorId) {
-      unsigned Rank = Sig->rank(CtorId);
-      // Guard chains mirror the sequential merge loop, but in the lane's
-      // factory; lookahead unions mirror it exactly.
-      struct LaneMerged {
-        TermRef Guard;
-        std::vector<StateSet> Lookahead;
-      };
-      std::vector<LaneMerged> Accumulated = {
-          {LF.trueTerm(), std::vector<StateSet>(Rank)}};
-      for (unsigned Q : MergedSet) {
-        const std::vector<unsigned> &QRules = A.rulesFrom(Q, CtorId);
-        std::vector<LaneMerged> Next;
-        for (const LaneMerged &Acc : Accumulated) {
-          for (unsigned RuleIndex : QRules) {
-            const StaRule &R = A.rule(RuleIndex);
-            TermRef Guard = LF.mkAnd(Acc.Guard, Lane.import(R.Guard));
-            if (!Lane.isSatLane(Guard))
-              continue;
-            Next.push_back({Guard, unionLookahead(Acc.Lookahead, R.Lookahead)});
-          }
-        }
-        Accumulated = std::move(Next);
-        if (Accumulated.empty())
-          break;
-      }
-      for (const LaneMerged &MR : Accumulated)
-        for (unsigned I = 0; I < Rank; ++I)
-          GetState(MR.Lookahead[I]);
-    }
-  });
-}
-
 /// The merged-state construction shared by normalization proper and the
 /// product (intersection) entry point, which differ only in their seeds
 /// and in the construction name their engine statistics accrue to.
@@ -128,11 +47,6 @@ NormalizedSta normalizeSetsAs(Solver &S, const Sta &A,
   engine::SessionEngine &E = engine::SessionEngine::of(S);
   engine::ConstructionScope Scope(E.Stats, Construction);
   engine::GuardCache &G = E.Guards;
-
-  // Parallel route (see warmNormalizeSets above); small inputs fall back
-  // to the purely sequential path deterministically.
-  if (unsigned LaneCount = engine::parallelLanesFor(E.Limits, A.numRules()))
-    warmNormalizeSets(E, A, Seeds, LaneCount);
   TermFactory &F = S.factory();
   const SignatureRef &Sig = A.signature();
   auto Out = std::make_shared<Sta>(Sig);

@@ -26,7 +26,6 @@
 
 #include "engine/Exploration.h"
 #include "engine/GuardCache.h"
-#include "engine/ParallelExploration.h"
 #include "engine/StateInterner.h"
 #include "engine/Stats.h"
 #include "obs/Metrics.h"
@@ -53,7 +52,6 @@ public:
       Trace.configureFromEnv();
     Stats.setTracer(&Trace);
     Solv.setTracer(&Trace);
-    Guards.setSharedVerdicts(&Verdicts);
   }
   ~SessionEngine() { Solv.setTracer(nullptr); }
 
@@ -62,11 +60,6 @@ public:
   /// Session tracing/profiling hub (spans, slow-query log, progress
   /// heartbeat); inactive until a sink is attached.
   obs::Tracer Trace;
-  /// Cross-factory verdict facts keyed by structural fingerprint, shared
-  /// between the session's GuardCache, parallel-frontier lanes, and worker
-  /// contexts of parallel task runs.  Declared before Guards' wiring (done
-  /// in the constructor body) so lifetime covers every consumer.
-  VerdictCache Verdicts;
   GuardCache Guards;
   /// Budgets applied by every construction's Exploration; unlimited by
   /// default.  Exceeding one makes the construction throw ExplorationError.
@@ -80,10 +73,6 @@ public:
   /// Provenance anchors + rule-coverage ledger (see obs/Provenance.h);
   /// recording is off until Prov.setEnabled(true).
   obs::ProvenanceStore Prov;
-  /// Warm-up worker lanes for constructions routed through the parallel
-  /// frontier (engine/ParallelExploration.h); empty until a construction
-  /// first runs with Limits.ParallelExploration >= 2.
-  LanePool Lanes;
 };
 
 } // namespace fast::engine

@@ -55,17 +55,6 @@ struct ExplorationLimits {
   std::chrono::milliseconds Timeout{0};
   /// Polled before each expansion; returning true aborts the run.
   std::function<bool()> CancelRequested;
-  /// Worker lanes for constructions routed through the parallel frontier
-  /// (engine/ParallelExploration.h); 0 or 1 keeps every construction on
-  /// the sequential path.  Parallel runs produce byte-identical output to
-  /// sequential ones: lanes only warm the shared verdict cache, and the
-  /// canonical replay pass emits states and rules in the legacy order.
-  unsigned ParallelExploration = 0;
-  /// Inputs with fewer rules than this skip the parallel frontier even
-  /// when ParallelExploration asks for lanes — spawning threads for tiny
-  /// fixpoints costs more than it saves.  The threshold is a property of
-  /// the input, so the fallback decision itself is deterministic.
-  size_t ParallelMinInputRules = 24;
   /// Test hook: when set, deadline polls read this clock instead of
   /// steady_clock::now().  Lets tests count clock reads and simulate the
   /// passage of time without sleeping.

@@ -28,7 +28,6 @@ void GuardCache::clearMemos() {
   ValidMemo.clear();
   ImplMemo.clear();
   Trie = std::make_unique<MintermTrie>(Solv);
-  Trie->setSharedVerdicts(Shared);
 }
 
 bool GuardCache::isSat(TermRef Pred) {
@@ -38,21 +37,9 @@ bool GuardCache::isSat(TermRef Pred) {
     count(&ConstructionStats::SatCacheHits);
     return It->second;
   }
-  // Memo miss: a verdict a parallel-frontier lane already decided for the
-  // same structure (by fingerprint) short-circuits the solver; counted as
-  // a cache hit since no decision core ran in this session tier.
-  if (Shared) {
-    if (std::optional<bool> Hit = Shared->lookup(Pred->fingerprint())) {
-      count(&ConstructionStats::SatCacheHits);
-      It->second = *Hit;
-      return It->second;
-    }
-  }
   auto T0 = std::chrono::steady_clock::now();
   It->second = Solv.isSat(Pred);
   recordQueryLatency(usSince(T0));
-  if (Shared)
-    Shared->publish(Pred->fingerprint(), It->second);
   return It->second;
 }
 

@@ -77,23 +77,8 @@ public:
   /// The session-wide trie (for stats reporting).
   MintermTrie &trie() { return *Trie; }
 
-  /// Attaches the session's shared cross-factory verdict cache (see
-  /// smt/VerdictCache.h) to this cache and its trie (null detaches).
-  /// isSat memo misses then consult the shared cache by structural
-  /// fingerprint before the solver and publish fresh verdicts back, so
-  /// facts flow between the base session and its parallel-frontier
-  /// lanes.  Worker contexts detach instead: sharing verdicts across
-  /// tasks would make which context pays for a query (and thus every
-  /// merged cache-hit counter) depend on scheduling.
-  void setSharedVerdicts(VerdictCache *Cache) {
-    Shared = Cache;
-    Trie->setSharedVerdicts(Cache);
-  }
-  VerdictCache *sharedVerdicts() const { return Shared; }
-
   /// Drops every memoized verdict and the whole minterm trie (split
-  /// index included), re-wiring the fresh trie to the attached shared
-  /// verdict cache, if any.  The pooled worker-context reset path calls
+  /// index included).  The pooled worker-context reset path calls
   /// this before the overlay term factory is reset: the memos and trie
   /// are keyed by TermRefs that are about to dangle, and a reused
   /// context must answer queries exactly as a fresh one would.
@@ -114,7 +99,6 @@ private:
 
   Solver &Solv;
   StatsRegistry &Stats;
-  VerdictCache *Shared = nullptr;
   std::unordered_map<TermRef, bool> SatMemo;
   std::unordered_map<TermRef, bool> ValidMemo;
   std::map<std::pair<TermRef, TermRef>, bool> ImplMemo;

@@ -21,10 +21,8 @@
 
 #include "engine/Stats.h"
 
-#include <atomic>
 #include <cassert>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -75,81 +73,6 @@ private:
   ConstructionStats *Stats;
   std::map<Key, unsigned, Compare> Ids;
   std::vector<const Key *> Keys;
-};
-
-/// A thread-safe StateInterner for the parallel exploration frontier
-/// (engine/ParallelExploration.h): keys are hash-partitioned over
-/// independently locked shards, so lanes interning unrelated keys never
-/// contend, while dense-id assignment stays globally sequential under one
-/// short-held id lock.  \p KeyHash must be stable across factories when
-/// the keys embed term identities (use fingerprints, not term ids).
-///
-/// Unlike the sequential interner, intern() enforces an optional key
-/// budget itself: once \p MaxKeys keys have been admitted the interner is
-/// tripped and further fresh keys are rejected (Admitted=false) without
-/// assigning ids, so a parallel warm-up run respects the same MaxStates
-/// budget the canonical replay pass will enforce.
-///
-/// Lock order: shard mutex, then id mutex.  key(Id) is safe concurrently
-/// with intern() for any id the caller obtained from a completed intern
-/// (publication of Keys[Id] happens before the id escapes the id lock).
-template <typename Key, typename KeyHash, typename Compare = std::less<Key>>
-class ShardedStateInterner {
-public:
-  explicit ShardedStateInterner(size_t MaxKeys = 0) : MaxKeys(MaxKeys) {}
-
-  struct InternResult {
-    unsigned Id;
-    bool Fresh;
-    /// False when the key budget rejected a fresh key; Id is meaningless.
-    bool Admitted;
-  };
-
-  InternResult intern(Key K) {
-    Shard &S = Shards[KeyHash{}(K) % NumShards];
-    std::lock_guard<std::mutex> ShardLock(S.M);
-    auto It = S.Ids.find(K);
-    if (It != S.Ids.end())
-      return {It->second, false, true};
-    std::lock_guard<std::mutex> IdLock(IdMutex);
-    if (MaxKeys != 0 && Keys.size() >= MaxKeys) {
-      Tripped.store(true, std::memory_order_relaxed);
-      return {0, false, false};
-    }
-    unsigned Id = static_cast<unsigned>(Keys.size());
-    auto [NewIt, Fresh] = S.Ids.emplace(std::move(K), Id);
-    assert(Fresh && "key appeared while shard lock was held");
-    (void)Fresh;
-    Keys.push_back(&NewIt->first);
-    return {Id, true, true};
-  }
-
-  /// The key interned as \p Id (map-node storage, reference stable).
-  const Key &key(unsigned Id) const {
-    std::lock_guard<std::mutex> IdLock(IdMutex);
-    assert(Id < Keys.size() && "interner id out of range");
-    return *Keys[Id];
-  }
-
-  unsigned size() const {
-    std::lock_guard<std::mutex> IdLock(IdMutex);
-    return static_cast<unsigned>(Keys.size());
-  }
-
-  /// True once the key budget has rejected at least one fresh key.
-  bool tripped() const { return Tripped.load(std::memory_order_relaxed); }
-
-private:
-  static constexpr size_t NumShards = 16;
-  struct Shard {
-    std::mutex M;
-    std::map<Key, unsigned, Compare> Ids;
-  };
-  size_t MaxKeys;
-  Shard Shards[NumShards];
-  mutable std::mutex IdMutex;
-  std::vector<const Key *> Keys;
-  std::atomic<bool> Tripped{false};
 };
 
 } // namespace fast::engine

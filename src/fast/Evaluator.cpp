@@ -415,13 +415,6 @@ FastProgramResult fast::runFastProgram(Session &S, const std::string &Source,
                                        const FastRunOptions &Opts) {
   FastProgramResult Result;
   DiagnosticEngine Diags;
-  // -j also drives intra-construction parallelism for the sequential
-  // declaration tier: big normalize/determinize fixpoints warm the shared
-  // verdict cache over Threads lanes before their canonical replay (see
-  // engine/ParallelExploration.h), while worker contexts of the assertion
-  // fan-out zero the knob so the two levels never nest.
-  if (Opts.Threads > 1)
-    S.engine().Limits.ParallelExploration = Opts.Threads;
   Program P = parseFast(Source, Diags);
   FastCompiler Compiler(S, Diags);
   Compiler.compile(P);

@@ -138,22 +138,5 @@ int MintermTrie::decideVerdict(std::span<const TermRef> AncestorLits,
       return 1;
     }
   }
-  if (Shared) {
-    // The region is the literal *set* on the node's root path; its key is
-    // the order-independent fingerprint sum, so a lane that explored the
-    // same region over its own factory (with a different descent order of
-    // equal structure) produced the same key.
-    TermFingerprint Key;
-    for (TermRef A : AncestorLits)
-      Key.accumulate(A->fingerprint());
-    Key.accumulate(Lit->fingerprint());
-    if (std::optional<bool> Hit = Shared->lookup(Key)) {
-      ++Counters.SharedVerdictHits;
-      return *Hit ? 1 : 0;
-    }
-    bool Sat = Solv.checkSat();
-    Shared->publish(Key, Sat);
-    return Sat ? 1 : 0;
-  }
   return Solv.checkSat() ? 1 : 0;
 }

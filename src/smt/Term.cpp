@@ -48,31 +48,6 @@ const char *fast::termKindName(TermKind K) {
 // Term
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// splitmix64 finalizer: the fingerprint needs full-width avalanche, and
-/// must not depend on std::hash (whose quality varies by libstdc++
-/// version for integers).
-uint64_t fpMix(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
-
-uint64_t fpCombine(uint64_t Seed, uint64_t V) { return fpMix(Seed ^ fpMix(V)); }
-
-/// Operators whose factory-canonical operand order is sorted by Term::id —
-/// an interning-history artifact that differs between factories — so the
-/// fingerprint must combine their children order-independently.  mkEq also
-/// swaps its operands into id order, hence Eq is commutative here.
-bool fpCommutativeKind(TermKind K) {
-  return K == TermKind::And || K == TermKind::Or || K == TermKind::Add ||
-         K == TermKind::Mul || K == TermKind::Eq;
-}
-
-} // namespace
-
 Term::Term(TermKind Kind, Sort TheSort, Value Payload, unsigned AttrIndex,
            std::string Name, std::vector<TermRef> Operands)
     : Kind(Kind), TheSort(TheSort), Payload(std::move(Payload)),
@@ -89,40 +64,6 @@ Term::Term(TermKind Kind, Sort TheSort, Value Payload, unsigned AttrIndex,
   for (TermRef Op : this->Operands)
     hashCombineValue(Seed, Op->id());
   Hash = Seed;
-
-  // Structural fingerprint (see TermFingerprint): two independently mixed
-  // 64-bit halves over kind, sort, payload, and children.  Children of
-  // commutative operators contribute as a wrapping sum, so factories that
-  // sorted the same operand set differently still agree.
-  uint64_t FpLo = fpCombine(0x66617374ull, static_cast<uint64_t>(Kind));
-  uint64_t FpHi = fpCombine(0x7472616eull, static_cast<uint64_t>(Kind));
-  FpLo = fpCombine(FpLo, static_cast<uint64_t>(TheSort));
-  FpHi = fpCombine(FpHi, static_cast<uint64_t>(TheSort));
-  if (Kind == TermKind::ConstValue) {
-    uint64_t P = this->Payload.hash();
-    FpLo = fpCombine(FpLo, P);
-    FpHi = fpCombine(FpHi, fpMix(P + 1));
-  }
-  if (Kind == TermKind::Attr) {
-    FpLo = fpCombine(FpLo, AttrIndex);
-    FpHi = fpCombine(FpHi, AttrIndex);
-    uint64_t N = std::hash<std::string>{}(this->Name);
-    FpLo = fpCombine(FpLo, N);
-    FpHi = fpCombine(FpHi, fpMix(N + 1));
-  }
-  if (fpCommutativeKind(Kind)) {
-    TermFingerprint Sum;
-    for (TermRef Op : this->Operands)
-      Sum.accumulate(Op->Fp);
-    FpLo = fpCombine(FpLo, Sum.Lo);
-    FpHi = fpCombine(FpHi, Sum.Hi);
-  } else {
-    for (TermRef Op : this->Operands) {
-      FpLo = fpCombine(FpLo, Op->Fp.Lo);
-      FpHi = fpCombine(FpHi, Op->Fp.Hi);
-    }
-  }
-  Fp = {FpHi, FpLo};
 }
 
 std::string Term::str() const {

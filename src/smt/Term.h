@@ -40,34 +40,6 @@ class Term;
 /// Terms are owned by their TermFactory; users pass them by pointer.
 using TermRef = const Term *;
 
-/// A 128-bit structural fingerprint of a term, stable across factories
-/// and interning orders.  Two terms that denote the same canonical
-/// structure — even when built in different factories, where commutative
-/// operand lists end up sorted by different interning-order ids — carry
-/// equal fingerprints, because children of commutative operators (And,
-/// Or, Add, Mul, Eq) are combined order-independently.  This is the key
-/// of the shared guard-verdict cache (smt/VerdictCache.h): worker-lane
-/// solvers and the base session agree on it without sharing a factory.
-struct TermFingerprint {
-  uint64_t Hi = 0;
-  uint64_t Lo = 0;
-
-  friend bool operator==(const TermFingerprint &A, const TermFingerprint &B) {
-    return A.Hi == B.Hi && A.Lo == B.Lo;
-  }
-  friend bool operator!=(const TermFingerprint &A, const TermFingerprint &B) {
-    return !(A == B);
-  }
-
-  /// Order-independent accumulation of another fingerprint, for keys over
-  /// literal *sets* (e.g. the root path of a minterm-trie region): wrapping
-  /// sums commute, so every permutation of the same set yields one key.
-  void accumulate(const TermFingerprint &Other) {
-    Hi += Other.Hi;
-    Lo += Other.Lo;
-  }
-};
-
 /// The operator of a term node.
 enum class TermKind : uint8_t {
   ConstValue, ///< A literal Value of any sort.
@@ -98,8 +70,6 @@ public:
   /// canonical ordering for commutative operands.
   unsigned id() const { return Id; }
   std::size_t hash() const { return Hash; }
-  /// Structural fingerprint, stable across factories (see TermFingerprint).
-  const TermFingerprint &fingerprint() const { return Fp; }
 
   bool isConst() const { return Kind == TermKind::ConstValue; }
   bool isTrue() const { return isConst() && sort() == Sort::Bool && Payload.getBool(); }
@@ -130,7 +100,6 @@ private:
   Sort TheSort;
   unsigned Id = 0;
   std::size_t Hash = 0;
-  TermFingerprint Fp;
   Value Payload;
   unsigned AttrIndex = 0;
   std::string Name;

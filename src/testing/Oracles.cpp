@@ -130,33 +130,6 @@ OracleResult representationOracle(Session &S, const FuzzInstance &I,
   return std::nullopt;
 }
 
-/// The parallel warm-up frontier (engine/ParallelExploration.h) must be
-/// invisible: with lanes forced on, normalize and determinize must
-/// produce automata whose *concrete* membership matches the input
-/// language on every sample.  contains() evaluates guards by direct
-/// substitution, never through the solver, so a wrong verdict published
-/// by a lane (and replayed from the session caches) cannot mask itself
-/// here the way a solver-backed comparison inside one session could.
-OracleResult parallelExploreOracle(Session &S, const FuzzInstance &I,
-                                   const OracleOptions &) {
-  engine::ExplorationLimits &Limits = S.engine().Limits;
-  Limits.ParallelExploration = 3;
-  Limits.ParallelMinInputRules = 1;
-  TreeLanguage Norm = normalize(S.Solv, I.LangA);
-  if (!Norm.automaton().isNormalized())
-    return fail("parallel normalize produced a non-normalized automaton");
-  DeterminizedSta Det = determinize(S.Solv, Norm.automaton());
-  TreeLanguage DetLang(Det.Automaton, Det.acceptingFor(Norm.roots()));
-  for (TreeRef T : I.Samples) {
-    bool Expected = I.LangA.contains(T);
-    if (Norm.contains(T) != Expected)
-      return fail("parallel normalize changed membership of " + T->str(), T);
-    if (DetLang.contains(T) != Expected)
-      return fail("parallel determinize changed membership of " + T->str(), T);
-  }
-  return std::nullopt;
-}
-
 /// Compose-then-run equals run-then-run for det+linear operands
 /// (Theorem 4, both preconditions hold).
 OracleResult composeExactOracle(Session &S, const FuzzInstance &I,
@@ -524,10 +497,6 @@ const std::vector<Oracle> &fast::testing::allOracles() {
       {"derivation-replay",
        "explained witnesses carry derivations that replay concretely", 1,
        derivationReplayOracle},
-      // Rotated: normalize + determinize with warm lanes forced on.
-      {"parallel-explore",
-       "warmed parallel frontier is invisible to concrete membership", 2,
-       parallelExploreOracle},
       {"bytecode-run",
        "a VM-attached runner equals the structural interpreter "
        "(outputs and truncation flag) on every sample; ineligible "

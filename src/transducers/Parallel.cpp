@@ -23,23 +23,8 @@ WorkerContext::WorkerContext(Session &Base,
   engine::SessionEngine &BaseEngine = Base.engine();
   engine::SessionEngine &WorkEngine = Work.engine();
 
-  // Budgets apply per construction, so a copy (not a share) is right —
-  // except the intra-construction lane count, which is zeroed: tasks of a
-  // parallel run are themselves the parallelism, and nesting lane pools
-  // inside worker threads would oversubscribe the machine.
+  // Budgets apply per construction, so a copy (not a share) is right.
   WorkEngine.Limits = BaseEngine.Limits;
-  WorkEngine.Limits.ParallelExploration = 0;
-
-  // Detach the worker's guard cache from any verdict-fact cache (the
-  // engine constructor wires its own by default).  Deliberately NOT the
-  // base session's: the facts themselves would be sound, but which task
-  // pays for a verdict — and with it every merged cache-hit counter —
-  // would depend on scheduling, breaking the guarantee that -j 1 and
-  // -j N merge identical counters.  The worker's own cache is detached
-  // too, so a pooled context cannot carry fingerprint-keyed verdicts
-  // across reset() (the term-identity memos cover everything within one
-  // task; fingerprints only add cross-factory reach the task never needs).
-  WorkEngine.Guards.setSharedVerdicts(nullptr);
 
   // Same anchor/rule id space as the base, own Fired shard.  Seed from
   // the runner's main-thread snapshot when given: this constructor runs

@@ -5,15 +5,19 @@
 #    (fast_engine_*, fast_solver_*, fast_vm_*);
 #  * determinism — a -j 1 run and a -j 4 run must merge identical
 #    non-timing counters.  metrics_check's two-file mode asserts A <= B;
-#    running it in both directions therefore asserts equality.
+#    running it in both directions therefore asserts equality.  The
+#    contract is checked on PROGRAM and on LANGS_PROGRAM, whose language
+#    automaton is large (32 rules) and goes through complement and
+#    intersection in the sequential declaration tier.
 #
 # Invoked by the metrics.smoke ctest as
-#   cmake -DFASTC=... -DMETRICS_CHECK=... -DPROGRAM=... -DOUT_DIR=... -P metrics_smoke.cmake
+#   cmake -DFASTC=... -DMETRICS_CHECK=... -DPROGRAM=... -DLANGS_PROGRAM=...
+#         -DOUT_DIR=... -P metrics_smoke.cmake
 #
 # sanitizer.fast intentionally fails one assertion, so fastc exiting 1 is
 # expected; only exit codes >= 2 (usage/IO errors) fail the smoke test.
 
-foreach(Var FASTC METRICS_CHECK PROGRAM OUT_DIR)
+foreach(Var FASTC METRICS_CHECK PROGRAM LANGS_PROGRAM OUT_DIR)
   if(NOT DEFINED ${Var})
     message(FATAL_ERROR "metrics_smoke.cmake: -D${Var}=... is required")
   endif()
@@ -22,14 +26,17 @@ endforeach()
 file(MAKE_DIRECTORY "${OUT_DIR}")
 
 # One run per format plus a second Prometheus run at -j 4 for the
-# determinism comparison.
-foreach(Run "metrics_j1.prom|1" "metrics_j1.json|1" "metrics_j4.prom|4")
+# determinism comparison, then a -j 1 / -j 4 pair on the langs program.
+foreach(Run "${PROGRAM}|metrics_j1.prom|1" "${PROGRAM}|metrics_j1.json|1"
+            "${PROGRAM}|metrics_j4.prom|4"
+            "${LANGS_PROGRAM}|langs_j1.prom|1" "${LANGS_PROGRAM}|langs_j4.prom|4")
   string(REPLACE "|" ";" Run "${Run}")
-  list(GET Run 0 FileName)
-  list(GET Run 1 Jobs)
+  list(GET Run 0 Program)
+  list(GET Run 1 FileName)
+  list(GET Run 2 Jobs)
   set(MetricsFile "${OUT_DIR}/${FileName}")
   execute_process(
-    COMMAND "${FASTC}" "--metrics=${MetricsFile}" -j ${Jobs} "${PROGRAM}"
+    COMMAND "${FASTC}" "--metrics=${MetricsFile}" -j ${Jobs} "${Program}"
     RESULT_VARIABLE RunResult
     OUTPUT_VARIABLE RunOut
     ERROR_VARIABLE RunErr)
@@ -66,7 +73,8 @@ endforeach()
 
 # Determinism: -j 1 and -j 4 merge identical non-timing counters.  The
 # two-file mode checks A <= B, so both directions passing means equality.
-foreach(Direction "metrics_j1.prom|metrics_j4.prom" "metrics_j4.prom|metrics_j1.prom")
+foreach(Direction "metrics_j1.prom|metrics_j4.prom" "metrics_j4.prom|metrics_j1.prom"
+                  "langs_j1.prom|langs_j4.prom" "langs_j4.prom|langs_j1.prom")
   string(REPLACE "|" ";" Direction "${Direction}")
   list(GET Direction 0 Earlier)
   list(GET Direction 1 Later)
