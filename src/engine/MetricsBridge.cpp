@@ -8,8 +8,6 @@
 
 #include "engine/Engine.h"
 
-#include <sstream>
-
 using namespace fast;
 using namespace fast::engine;
 using obs::LatencyHistogram;
@@ -194,138 +192,4 @@ void fast::engine::collectSessionMetrics(const SessionEngine &Eng,
 
   // --- Native handles registered on the engine directly.
   Eng.Metrics.snapshotInto(Snap);
-}
-
-//===----------------------------------------------------------------------===//
-// Legacy renderers: --stats / --stats-json through the telemetry plane
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Looks up the value of \p Construction's sample in family \p Name
-/// (0 when absent, which cannot happen for bridged snapshots).
-uint64_t labelledCount(const MetricsSnapshot &Snap, const char *Name,
-                       const std::string &Construction) {
-  const MetricFamily *F = Snap.find(Name);
-  if (!F)
-    return 0;
-  for (const MetricSample &S : F->Samples)
-    for (const auto &[K, V] : S.Labels)
-      if (K == "construction" && V == Construction)
-        return static_cast<uint64_t>(S.Value);
-  return 0;
-}
-
-double plainValue(const MetricsSnapshot &Snap, const char *Name) {
-  const MetricFamily *F = Snap.find(Name);
-  return F && !F->Samples.empty() ? F->Samples.front().Value : 0;
-}
-
-const LatencyHistogram *plainHist(const MetricsSnapshot &Snap,
-                                  const char *Name) {
-  const MetricFamily *F = Snap.find(Name);
-  return F && !F->Samples.empty() ? &F->Samples.front().Hist : nullptr;
-}
-
-/// Rebuilds a StatsRegistry from the bridged families, so the legacy
-/// renderers *are* the legacy code paths — byte-compatibility follows from
-/// reusing StatsRegistry::report()/json() rather than imitating them.
-void rebuildRegistry(const MetricsSnapshot &Snap, StatsRegistry &Reg) {
-  if (const MetricFamily *Runs = Snap.find("fast_engine_runs_total")) {
-    const MetricFamily *QHist = Snap.find("fast_engine_solver_query_us");
-    const MetricFamily *SHist = Snap.find("fast_engine_minterm_split_us");
-    for (size_t I = 0; I < Runs->Samples.size(); ++I) {
-      const MetricSample &S = Runs->Samples[I];
-      std::string Name;
-      for (const auto &[K, V] : S.Labels)
-        if (K == "construction")
-          Name = V;
-      ConstructionStats &C = Reg.construction(Name);
-      C.Runs = static_cast<uint64_t>(S.Value);
-      C.StatesExplored =
-          labelledCount(Snap, "fast_engine_states_explored_total", Name);
-      C.StatesInterned =
-          labelledCount(Snap, "fast_engine_states_interned_total", Name);
-      C.RulesEmitted =
-          labelledCount(Snap, "fast_engine_rules_emitted_total", Name);
-      C.SatQueries =
-          labelledCount(Snap, "fast_engine_sat_queries_total", Name);
-      C.SatCacheHits =
-          labelledCount(Snap, "fast_engine_sat_cache_hits_total", Name);
-      C.MintermSplits =
-          labelledCount(Snap, "fast_engine_minterm_splits_total", Name);
-      C.MintermCacheHits =
-          labelledCount(Snap, "fast_engine_minterm_cache_hits_total", Name);
-      C.MintermsProduced =
-          labelledCount(Snap, "fast_engine_minterms_produced_total", Name);
-      C.TrieNodesDecided =
-          labelledCount(Snap, "fast_engine_trie_nodes_decided_total", Name);
-      C.TrieNodeHits =
-          labelledCount(Snap, "fast_engine_trie_node_hits_total", Name);
-      C.TrieSubsumed =
-          labelledCount(Snap, "fast_engine_trie_subsumed_total", Name);
-      // Wall time is carried as the sample's double value, so the legacy
-      // renderers see the identical bits the stats registry held.
-      const MetricFamily *Wall = Snap.find("fast_engine_wall_ms_total");
-      if (Wall && I < Wall->Samples.size())
-        C.WallMs = Wall->Samples[I].Value;
-      if (QHist && I < QHist->Samples.size())
-        C.SolverQueryUs = QHist->Samples[I].Hist;
-      if (SHist && I < SHist->Samples.size())
-        C.MintermSplitUs = SHist->Samples[I].Hist;
-    }
-  }
-  VmStats &V = Reg.vm();
-  V.ProgramsCompiled =
-      uint64_t(plainValue(Snap, "fast_vm_programs_compiled_total"));
-  V.Ineligible = uint64_t(plainValue(Snap, "fast_vm_ineligible_total"));
-  V.CacheHits = uint64_t(plainValue(Snap, "fast_vm_cache_hits_total"));
-  V.Runs = uint64_t(plainValue(Snap, "fast_vm_runs_total"));
-  V.FallbackRuns = uint64_t(plainValue(Snap, "fast_vm_fallback_runs_total"));
-  V.Instructions = uint64_t(plainValue(Snap, "fast_vm_instructions_total"));
-  V.MemoHits = uint64_t(plainValue(Snap, "fast_vm_memo_hits_total"));
-  V.LookaheadChecks =
-      uint64_t(plainValue(Snap, "fast_vm_lookahead_checks_total"));
-  V.ArenaNodes = uint64_t(plainValue(Snap, "fast_vm_arena_nodes_total"));
-  V.InternedNodes =
-      uint64_t(plainValue(Snap, "fast_vm_interned_nodes_total"));
-  if (const LatencyHistogram *H = plainHist(Snap, "fast_vm_compile_us"))
-    V.CompileUs = *H;
-  if (const LatencyHistogram *H = plainHist(Snap, "fast_vm_run_us"))
-    V.RunUs = *H;
-}
-
-} // namespace
-
-std::string fast::engine::legacyStatsReport(const MetricsSnapshot &Snap) {
-  StatsRegistry Reg;
-  rebuildRegistry(Snap, Reg);
-  return Reg.report();
-}
-
-std::string fast::engine::legacyStatsJson(const MetricsSnapshot &Snap) {
-  StatsRegistry Reg;
-  rebuildRegistry(Snap, Reg);
-  return Reg.json();
-}
-
-std::string fast::engine::legacySolverLine(const MetricsSnapshot &Snap) {
-  std::ostringstream Out;
-  Out << "solver: " << uint64_t(plainValue(Snap, "fast_solver_queries_total"))
-      << " queries, "
-      << uint64_t(plainValue(Snap, "fast_solver_cache_hits_total"))
-      << " cache-hits, "
-      << uint64_t(plainValue(Snap, "fast_solver_core_checks_total"))
-      << " core-checks, "
-      << uint64_t(plainValue(Snap, "fast_solver_z3_checks_total"))
-      << " z3-checks, "
-      << uint64_t(plainValue(Snap, "fast_solver_fast_path_answers_total"))
-      << " fast-path, "
-      << uint64_t(plainValue(Snap, "fast_solver_scoped_checks_total"))
-      << " scoped-checks, "
-      << uint64_t(plainValue(Snap, "fast_solver_literals_asserted_total"))
-      << " literals-asserted, "
-      << uint64_t(plainValue(Snap, "fast_solver_subsumption_answers_total"))
-      << " subsumption-answers";
-  return Out.str();
 }

@@ -22,19 +22,12 @@
 ///   fast_flightrecorder_*  ring-buffer occupancy and drop accounting
 ///   ...plus everything registered on SessionEngine::Metrics directly.
 ///
-/// The legacy renderers reproduce the exact pre-telemetry-plane output of
-/// `fastc --stats` / `--stats-json` *from* a snapshot, so the deprecated
-/// flags keep byte-compatible output while reading through the new plane
-/// (regression-tested against StatsRegistry::report()/json()).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef FAST_ENGINE_METRICSBRIDGE_H
 #define FAST_ENGINE_METRICSBRIDGE_H
 
 #include "obs/Metrics.h"
-
-#include <string>
 
 namespace fast::engine {
 
@@ -44,17 +37,6 @@ class SessionEngine;
 /// Family and sample order is deterministic: families in the fixed bridge
 /// order, construction labels in name order, native handles in name order.
 void collectSessionMetrics(const SessionEngine &Eng, obs::MetricsSnapshot &Snap);
-
-/// Renders StatsRegistry::report() byte-for-byte from a bridged snapshot.
-std::string legacyStatsReport(const obs::MetricsSnapshot &Snap);
-
-/// Renders StatsRegistry::json() byte-for-byte from a bridged snapshot.
-std::string legacyStatsJson(const obs::MetricsSnapshot &Snap);
-
-/// Renders the one-line solver summary `fastc --stats` appends, from the
-/// fast_solver_* families of a bridged snapshot (without the trailing
-/// newline, matching the historical "solver: ..." line body).
-std::string legacySolverLine(const obs::MetricsSnapshot &Snap);
 
 } // namespace fast::engine
 

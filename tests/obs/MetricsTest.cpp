@@ -3,8 +3,7 @@
 // Covers the MetricsRegistry handle layer (lock-free counters/gauges,
 // concurrent updates, shard merges), MetricsSnapshot exposition (Prometheus
 // text v0.0.4, the versioned JSON document, timing-family exclusion, delta
-// semantics), and the legacy --stats/--stats-json shim's byte-compatibility
-// with the original StatsRegistry renderers.
+// semantics), and the bridged session snapshot's subsystem coverage.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,14 +11,12 @@
 #include "fast/Fast.h"
 #include "obs/JsonCheck.h"
 #include "obs/Metrics.h"
-#include "smt/Solver.h"
 #include "transducers/Session.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -197,31 +194,6 @@ TEST(MetricsSnapshotTest, DeltaFromSubtracts) {
   // negative.
   MetricsSnapshot Shrunk = A.deltaFrom(B);
   EXPECT_EQ(Shrunk.find("fast_runs_total")->Samples[0].Value, 0.0);
-}
-
-TEST(StatsShimTest, LegacyRenderersAreByteCompatible) {
-  Session S;
-  FastProgramResult R = runFastProgram(S, statsProgram());
-  ASSERT_EQ(R.ErrorCount, 0u) << R.DiagText;
-  ASSERT_EQ(R.failedAssertions(), 0u);
-
-  MetricsSnapshot Snap;
-  engine::collectSessionMetrics(S.engine(), Snap);
-
-  // The deprecated --stats/--stats-json output is rendered *from* the new
-  // plane; it must reproduce the original renderers byte for byte.
-  EXPECT_EQ(engine::legacyStatsReport(Snap), S.stats().report());
-  EXPECT_EQ(engine::legacyStatsJson(Snap), S.stats().json());
-
-  const Solver::Stats &Sv = S.Solv.stats();
-  std::ostringstream Line;
-  Line << "solver: " << Sv.Queries << " queries, " << Sv.CacheHits
-       << " cache-hits, " << Sv.CoreChecks << " core-checks, " << Sv.Z3Checks
-       << " z3-checks, " << Sv.FastPathAnswers << " fast-path, "
-       << Sv.ScopedChecks << " scoped-checks, " << Sv.LiteralsAsserted
-       << " literals-asserted, " << Sv.SubsumptionAnswers
-       << " subsumption-answers";
-  EXPECT_EQ(engine::legacySolverLine(Snap), Line.str());
 }
 
 TEST(StatsShimTest, SnapshotCoversAllSubsystems) {
