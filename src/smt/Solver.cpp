@@ -83,7 +83,13 @@ bool syntacticallyImplies(TermRef A, TermRef B) {
 } // namespace
 
 struct Solver::Impl {
+  explicit Impl(unsigned TimeoutMs) : TimeoutMs(TimeoutMs) {}
+
   z3::context Ctx;
+  /// Per-check Z3 timeout (0 = none), set on every solver object this
+  /// context creates — never as a global parameter, which would leak into
+  /// every other Solver of the process.
+  unsigned TimeoutMs;
   /// One long-lived solver; each query runs under push/pop, which is much
   /// cheaper than constructing a fresh solver per query.
   std::unique_ptr<z3::solver> Sol;
@@ -96,15 +102,25 @@ struct Solver::Impl {
   /// checkSat() and popped eagerly by pop().
   size_t SyncedFrames = 0;
 
+  std::unique_ptr<z3::solver> makeSolver() {
+    auto S = std::make_unique<z3::solver>(Ctx);
+    if (TimeoutMs != 0) {
+      z3::params P(Ctx);
+      P.set("timeout", TimeoutMs);
+      S->set(P);
+    }
+    return S;
+  }
+
   z3::solver &solver() {
     if (!Sol)
-      Sol = std::make_unique<z3::solver>(Ctx);
+      Sol = makeSolver();
     return *Sol;
   }
 
   z3::solver &scopedSolver() {
     if (!ScopedSol)
-      ScopedSol = std::make_unique<z3::solver>(Ctx);
+      ScopedSol = makeSolver();
     return *ScopedSol;
   }
 
@@ -220,15 +236,9 @@ struct Solver::Impl {
 };
 
 Solver::Solver(TermFactory &Factory, unsigned TimeoutMs)
-    : Factory(Factory), Z3(std::make_unique<Impl>()), TimeoutMs(TimeoutMs) {
+    : Factory(Factory), Z3(std::make_unique<Impl>(TimeoutMs)),
+      TimeoutMs(TimeoutMs) {
   ScopeStack.emplace_back(); // The permanent base scope.
-  if (TimeoutMs != 0) {
-    z3::params P(Z3->Ctx);
-    // Applied per-solver below; keep the configured value in the context's
-    // global parameter table so fresh solver objects inherit it.
-    Z3_global_param_set("timeout", std::to_string(TimeoutMs).c_str());
-    (void)P;
-  }
 }
 
 Solver::~Solver() = default;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 using namespace fast;
 
 namespace {
@@ -126,6 +128,29 @@ TEST_F(SolverTest, StringDisequalities) {
   ASSERT_TRUE(Model.has_value());
   EXPECT_NE(Model->at(Tag).getString(), "a");
   EXPECT_NE(Model->at(Tag).getString(), "b");
+}
+
+TEST(SolverTimeoutTest, TimeoutBelongsToEachSolver) {
+  TermFactory F;
+  Solver Short(F, /*TimeoutMs=*/50);
+  // Built after Short: its timeout must not replace Short's.
+  Solver Long(F, /*TimeoutMs=*/5000);
+  TermRef X = F.attr(0, Sort::Int, "x");
+  TermRef Y = F.attr(1, Sort::Int, "y");
+  TermRef Z = F.attr(2, Sort::Int, "z");
+  auto Cube = [&](TermRef V) { return F.mkMul(F.mkMul(V, V), V); };
+  // x^3 + y^3 + z^3 = 33 over Int: non-linear, so it bypasses the built-in
+  // procedure, and Z3 cannot decide it within seconds.
+  std::vector<TermRef> Cubes = {Cube(X), Cube(Y), Cube(Z)};
+  TermRef Hard = F.mkEq(F.mkAdd(Cubes), F.intConst(33));
+
+  auto Start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(Short.isSat(Hard)); // unknown counts as satisfiable
+  auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - Start)
+                .count();
+  EXPECT_EQ(Short.stats().UnknownAnswers, 1u);
+  EXPECT_LT(Ms, 2000) << "the 50 ms solver ran under the 5000 ms timeout";
 }
 
 } // namespace
