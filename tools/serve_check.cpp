@@ -13,10 +13,10 @@
 //      (FAST_SERVE_WARMUP_MS holds the program back deterministically).
 //   3. /metrics parses and validates mid-run; a later scrape is counter-
 //      monotone relative to it.
-//   4. /readyz flips to 200 once the run completes and the session
-//      freezes; /metrics.json, /statusz, /debug/slowqueries,
-//      POST /debug/flightrecorder and POST /debug/trace?start|stop all
-//      serve; unknown paths 404 and wrong methods 405.
+//   4. /readyz flips to 200 once the session freezes; /metrics.json,
+//      /statusz, /debug/slowqueries and POST /debug/flightrecorder
+//      serve, POST /debug/trace?start|stop serve once the run is over;
+//      unknown paths 404 and wrong methods 405.
 //   5. The --metrics file periodically flushed under
 //      FAST_METRICS_INTERVAL_MS validates on disk.
 //   6. SIGTERM produces a clean exit (the program's own exit code, < 2)
@@ -271,8 +271,18 @@ int main(int Argc, char **Argv) {
     want(Port, "POST", "/debug/flightrecorder", 200,
          "second /debug/flightrecorder (snapshot must not consume)");
 
-    // Runtime trace attach/detach round-trip (the run is quiescent now).
-    want(Port, "POST", "/debug/trace?start", 200, "trace start");
+    // Runtime trace attach/detach round-trip.  -j freezes the session,
+    // flipping /readyz, before the assertion fan-out ends, so the gate
+    // may still answer 409 (not quiescent) for a while on a loaded host.
+    HttpResult Started = httpRequest(Port, "POST", "/debug/trace?start");
+    for (int Waited = 0; Started.Ok && Started.Status == 409 && Waited < 60000;
+         Waited += 50) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      Started = httpRequest(Port, "POST", "/debug/trace?start");
+    }
+    if (!Started.Ok || Started.Status != 200)
+      fail("trace start: expected 200, got " +
+           (Started.Ok ? std::to_string(Started.Status) : Started.Error));
     HttpResult Trace = want(Port, "POST", "/debug/trace?stop", 200,
                             "trace stop");
     if (Trace.Body.empty() || Trace.Body[0] != '[')
