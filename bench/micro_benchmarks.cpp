@@ -182,7 +182,7 @@ BENCHMARK(BM_SolverIsSat)->Arg(0)->Arg(1);
 
 /// Telemetry plane A/B on the shrunk Figure 6 sweep: range(0) == 0 runs
 /// with the flight recorder disarmed (one relaxed load per emit site),
-/// 1 with it armed (timestamp + 32-byte ring store per event).  The two
+/// 1 with it armed (timestamp + 64-byte ring store per event).  The two
 /// records land side by side in BENCH_micro.json; bench/telemetry_overhead
 /// gates their delta.
 void BM_Fig6Telemetry(benchmark::State &State) {
@@ -193,7 +193,7 @@ void BM_Fig6Telemetry(benchmark::State &State) {
     State.PauseTiming();
     Session S;
     if (Armed)
-      S.tracer().recorder().arm("", 1u << 14); // record-only ring
+      S.tracer().armRecorder("", 1u << 14); // record-only ring
     ar::ArOptions Options;
     Options.NumTaggers = Taggers;
     ar::ArWorkload W = ar::generateArWorkload(S, /*Seed=*/2014, Options);
@@ -219,7 +219,7 @@ void BM_Fig7Telemetry(benchmark::State &State) {
     State.PauseTiming();
     Session S;
     if (Armed)
-      S.tracer().recorder().arm("", 1u << 14);
+      S.tracer().armRecorder("", 1u << 14);
     SignatureRef Sig = defo::listSignature();
     TreeRef Input = defo::randomList(S, Sig, 1024, /*Seed=*/2014);
     std::vector<std::shared_ptr<Sttr>> Stages;

@@ -240,18 +240,10 @@ int main(int Argc, char **Argv) {
   if (Explain || ReportPath)
     S.provenance().setEnabled(true);
   // The flag overrides any FAST_FLIGHT_RECORDER arming the engine's
-  // env configuration already applied; the event budget stays an env knob.
-  if (FlightRecorderPath) {
-    size_t Capacity = obs::FlightRecorder::DefaultCapacity;
-    if (const char *Ev = std::getenv("FAST_FLIGHT_RECORDER_EVENTS");
-        Ev && *Ev) {
-      char *End = nullptr;
-      unsigned long V = std::strtoul(Ev, &End, 10);
-      if (End != Ev && *End == '\0' && V > 0)
-        Capacity = static_cast<size_t>(V);
-    }
-    S.tracer().recorder().arm(FlightRecorderPath, Capacity);
-  }
+  // env configuration already applied; the event budget stays an env knob
+  // (FAST_FLIGHT_RECORDER_EVENTS, read by armRecorder).
+  if (FlightRecorderPath)
+    S.tracer().armRecorder(FlightRecorderPath);
   if (!MetricsPath)
     if (const char *Env = std::getenv("FAST_METRICS"); Env && *Env)
       MetricsPath = Env;
@@ -265,14 +257,7 @@ int main(int Argc, char **Argv) {
   if (MaxStates > 0)
     S.engine().Limits.MaxStates = static_cast<size_t>(MaxStates);
 
-  // Program-level counters ride the engine's native registry, alongside
-  // the bridged engine/solver/VM families.
-  obs::MetricsRegistry::Counter *ProgramRuns = S.engine().Metrics.counter(
-      "fast_program_runs", "Fast programs evaluated");
-  obs::MetricsRegistry::Counter *Assertions = S.engine().Metrics.counter(
-      "fast_assertions", "Assertions evaluated");
-  obs::MetricsRegistry::Counter *AssertionsFailed = S.engine().Metrics.counter(
-      "fast_assertions_failed", "Assertions that failed");
+  engine::ProgramStats &Program = S.stats().program();
 
   // The exit-time --metrics write goes through the flusher's atomic
   // tmp+rename path so a reader racing the exit never sees a partial
@@ -367,13 +352,13 @@ int main(int Argc, char **Argv) {
     ProgramRunning.store(false);
     if (TracePath || ReportPath)
       S.tracer().closeTrace();
-    ProgramRuns->inc();
+    ++Program.Runs;
     WriteMetrics();
     std::cerr << "fastc: " << E.what() << "\n";
     return Finish(1);
   }
   ProgramRunning.store(false);
-  ProgramRuns->inc();
+  ++Program.Runs;
   if (TracePath || ReportPath)
     S.tracer().closeTrace();
   if (!R.DiagText.empty())
@@ -445,8 +430,8 @@ int main(int Argc, char **Argv) {
   unsigned Failed = R.failedAssertions();
   std::cout << R.Assertions.size() << " assertion(s), " << Failed
             << " failed\n";
-  Assertions->inc(R.Assertions.size());
-  AssertionsFailed->inc(Failed);
+  Program.Assertions += R.Assertions.size();
+  Program.AssertionsFailed += Failed;
   // A failed Fast assertion is an incident too: capture the window that
   // led to the failing witness (first incident wins).
   if (Failed != 0)

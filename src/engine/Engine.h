@@ -28,7 +28,6 @@
 #include "engine/GuardCache.h"
 #include "engine/StateInterner.h"
 #include "engine/Stats.h"
-#include "obs/Metrics.h"
 #include "obs/Provenance.h"
 #include "obs/Tracer.h"
 
@@ -57,19 +56,14 @@ public:
 
   Solver &Solv;
   StatsRegistry Stats;
-  /// Session tracing/profiling hub (spans, slow-query log, progress
-  /// heartbeat); inactive until a sink is attached.
+  /// Session tracing/profiling hub (spans, flight-recorder ring, slow-query
+  /// log, progress heartbeat); inactive until a sink or the ring is
+  /// attached.
   obs::Tracer Trace;
   GuardCache Guards;
   /// Budgets applied by every construction's Exploration; unlimited by
   /// default.  Exceeding one makes the construction throw ExplorationError.
   ExplorationLimits Limits;
-  /// Native metric handles of the telemetry plane (obs/Metrics.h).  The
-  /// bridged view of Stats / the Solver / VmStats is assembled on demand by
-  /// engine/MetricsBridge.h; this registry holds everything registered
-  /// directly (application counters, daemon request accounting).  Worker
-  /// contexts carry their own registry, merged at the join point.
-  obs::MetricsRegistry Metrics;
   /// Provenance anchors + rule-coverage ledger (see obs/Provenance.h);
   /// recording is off until Prov.setEnabled(true).
   obs::ProvenanceStore Prov;

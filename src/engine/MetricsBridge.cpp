@@ -173,9 +173,18 @@ void fast::engine::collectSessionMetrics(const SessionEngine &Eng,
                     V.CompileUs);
   Snap.addHistogram("fast_vm_run_us", "Per-run VM latency (us)", V.RunUs);
 
+  // --- Program-level counters the Fast driver records.
+  const ProgramStats &P = Eng.Stats.program();
+  Snap.addCounter("fast_assertions_total", "Assertions evaluated",
+                  double(P.Assertions));
+  Snap.addCounter("fast_assertions_failed_total", "Assertions that failed",
+                  double(P.AssertionsFailed));
+  Snap.addCounter("fast_program_runs_total", "Fast programs evaluated",
+                  double(P.Runs));
+
   // --- fast_flightrecorder_*: ring accounting.  Event counts depend on
-  // wall-clock-gated producers (heartbeats, slow-query marks), so they are
-  // timing families; arming state and capacity are not.
+  // wall-clock-gated producers (heartbeats), so they are timing families;
+  // arming state and capacity are not.
   const obs::FlightRecorder &FR = Eng.Trace.recorder();
   Snap.addCounter("fast_flightrecorder_events_total",
                   "Events recorded into the flight-recorder ring",
@@ -189,7 +198,4 @@ void fast::engine::collectSessionMetrics(const SessionEngine &Eng,
   Snap.addGauge("fast_flightrecorder_capacity",
                 "Flight-recorder ring capacity in events",
                 double(FR.capacity()));
-
-  // --- Native handles registered on the engine directly.
-  Eng.Metrics.snapshotInto(Snap);
 }

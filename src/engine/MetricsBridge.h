@@ -19,8 +19,9 @@
 ///   fast_vm_*       the compiled data plane's control+data counters and
 ///                   compile/run latency histograms (always present, zeros
 ///                   when the VM never ran)
+///   fast_program_runs, fast_assertions[_failed]  the Fast driver's
+///                   program-level counters
 ///   fast_flightrecorder_*  ring-buffer occupancy and drop accounting
-///   ...plus everything registered on SessionEngine::Metrics directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +36,7 @@ class SessionEngine;
 
 /// Appends every session metric family to \p Snap (see file comment).
 /// Family and sample order is deterministic: families in the fixed bridge
-/// order, construction labels in name order, native handles in name order.
+/// order, construction labels in name order.
 void collectSessionMetrics(const SessionEngine &Eng, obs::MetricsSnapshot &Snap);
 
 } // namespace fast::engine

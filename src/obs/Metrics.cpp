@@ -1,4 +1,4 @@
-//===- obs/Metrics.cpp - Unified metrics registry + exposition -------------===//
+//===- obs/Metrics.cpp - Metric snapshots + exposition --------------------===//
 //
 // Part of the fast-transducers project (see support/Hashing.h).
 //
@@ -276,76 +276,6 @@ MetricsSnapshot MetricsSnapshot::deltaFrom(const MetricsSnapshot &Prev) const {
     }
   }
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// MetricsRegistry
-//===----------------------------------------------------------------------===//
-
-MetricsRegistry::Counter *MetricsRegistry::counter(const std::string &Name,
-                                                   const std::string &Help) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  CounterSlot &Slot = Counters[Name];
-  if (!Slot.C) {
-    Slot.C = std::make_unique<Counter>();
-    Slot.Help = Help;
-  } else if (Slot.Help.empty() && !Help.empty()) {
-    Slot.Help = Help;
-  }
-  return Slot.C.get();
-}
-
-MetricsRegistry::Gauge *MetricsRegistry::gauge(const std::string &Name,
-                                               const std::string &Help) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  GaugeSlot &Slot = Gauges[Name];
-  if (!Slot.G) {
-    Slot.G = std::make_unique<Gauge>();
-    Slot.Help = Help;
-  } else if (Slot.Help.empty() && !Help.empty()) {
-    Slot.Help = Help;
-  }
-  return Slot.G.get();
-}
-
-void MetricsRegistry::snapshotInto(MetricsSnapshot &Snap) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  // std::map iterates in name order, so exposition is independent of
-  // registration order.
-  for (const auto &[Name, Slot] : Counters)
-    Snap.addCounter(Name + "_total", Slot.Help,
-                    static_cast<double>(Slot.C->value()));
-  for (const auto &[Name, Slot] : Gauges)
-    Snap.addGauge(Name, Slot.Help, static_cast<double>(Slot.G->value()));
-}
-
-void MetricsRegistry::mergeFrom(const MetricsRegistry &Other) {
-  // Copy the other side's values under its lock, then fold them in under
-  // ours; never hold both locks at once.
-  std::vector<std::pair<std::string, uint64_t>> Cs;
-  std::vector<std::pair<std::string, int64_t>> Gs;
-  std::vector<std::pair<std::string, std::string>> Helps;
-  {
-    std::lock_guard<std::mutex> Lock(Other.Mu);
-    for (const auto &[Name, Slot] : Other.Counters) {
-      Cs.emplace_back(Name, Slot.C->value());
-      Helps.emplace_back(Name, Slot.Help);
-    }
-    for (const auto &[Name, Slot] : Other.Gauges)
-      Gs.emplace_back(Name, Slot.G->value());
-  }
-  for (size_t I = 0; I < Cs.size(); ++I)
-    counter(Cs[I].first, Helps[I].second)->inc(Cs[I].second);
-  for (const auto &[Name, V] : Gs)
-    gauge(Name)->add(V);
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (auto &[Name, Slot] : Counters)
-    Slot.C->V.store(0, std::memory_order_relaxed);
-  for (auto &[Name, Slot] : Gauges)
-    Slot.G->V.store(0, std::memory_order_relaxed);
 }
 
 } // namespace fast::obs

@@ -1,26 +1,16 @@
-//===- obs/Metrics.h - Unified metrics registry + exposition ------*- C++ -*-===//
+//===- obs/Metrics.h - Metric snapshots + exposition ------------*- C++ -*-===//
 //
 // Part of the fast-transducers project (see support/Hashing.h).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The telemetry plane's metric model.  Two layers:
-///
-///  - MetricsRegistry: typed handles (monotonic counters and gauges backed by
-///    relaxed atomics) with lock-free hot-path updates.  Registration and
-///    snapshotting take a mutex; `inc()`/`set()` never do.  Each
-///    SessionEngine owns one registry; per-WorkerContext shards merge into
-///    the base registry through the same deterministic `mergeFrom` machinery
-///    that merges ConstructionStats / Solver::Stats (commutative sums, so
-///    -j1 and -jN produce identical totals).
-///
-///  - MetricsSnapshot: a point-in-time, plain-data copy of every metric the
-///    session knows about — native registry handles plus the families
-///    bridged from StatsRegistry, Solver::Stats, and VmStats (see
-///    engine/MetricsBridge.h).  Snapshots render to the two exposition
-///    formats (Prometheus text v0.0.4 and a versioned JSON document) and
-///    support delta semantics between two scrapes.
+/// The telemetry plane's metric model.  A MetricsSnapshot is a
+/// point-in-time, plain-data copy of every metric the session knows about:
+/// the families bridged from StatsRegistry, Solver::Stats, and VmStats (see
+/// engine/MetricsBridge.h).  Snapshots render to the two exposition formats
+/// (Prometheus text v0.0.4 and a versioned JSON document) and support delta
+/// semantics between two scrapes.
 ///
 /// Families carry a `Timing` flag: metrics whose values depend on wall-clock
 /// measurements (wall_ms, every *_us histogram, flight-recorder event
@@ -34,11 +24,8 @@
 
 #include "obs/Histogram.h"
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,68 +94,6 @@ public:
 private:
   std::vector<MetricFamily> Families;
   std::map<std::string, size_t> Index;
-};
-
-/// Registry of live metric handles with lock-free updates.  Handle addresses
-/// are stable for the registry's lifetime (slots are heap-allocated), so hot
-/// paths cache `Counter *` / `Gauge *` pointers obtained once at setup.
-class MetricsRegistry {
-public:
-  /// Monotonic counter.  One relaxed fetch_add per update.
-  class Counter {
-  public:
-    void inc(uint64_t N = 1) { V.fetch_add(N, std::memory_order_relaxed); }
-    uint64_t value() const { return V.load(std::memory_order_relaxed); }
-
-  private:
-    friend class MetricsRegistry;
-    std::atomic<uint64_t> V{0};
-  };
-
-  /// Last-write-wins gauge.  One relaxed store per update.
-  class Gauge {
-  public:
-    void set(int64_t N) { V.store(N, std::memory_order_relaxed); }
-    void add(int64_t N) { V.fetch_add(N, std::memory_order_relaxed); }
-    int64_t value() const { return V.load(std::memory_order_relaxed); }
-
-  private:
-    friend class MetricsRegistry;
-    std::atomic<int64_t> V{0};
-  };
-
-  /// Returns the counter registered under \p Name (exposition name without
-  /// the `_total` suffix; it is appended at snapshot time), creating it on
-  /// first use.  Thread-safe; the returned pointer never moves.
-  Counter *counter(const std::string &Name, const std::string &Help = "");
-  Gauge *gauge(const std::string &Name, const std::string &Help = "");
-
-  /// Appends one family per registered handle to \p Snap, in name order so
-  /// exposition is deterministic regardless of registration order.
-  void snapshotInto(MetricsSnapshot &Snap) const;
-
-  /// Adds every counter of \p Other into this registry's same-named counter
-  /// and every gauge value via add(), creating handles as needed.  Used by
-  /// WorkerContext::mergeInto; sums are commutative so merge order cannot
-  /// change totals.
-  void mergeFrom(const MetricsRegistry &Other);
-
-  /// Zeroes every handle in place (pointers stay valid) — the pooled
-  /// WorkerContext reset contract.
-  void reset();
-
-private:
-  struct CounterSlot {
-    std::string Help;
-    std::unique_ptr<Counter> C;
-  };
-  struct GaugeSlot {
-    std::string Help;
-    std::unique_ptr<Gauge> G;
-  };
-  mutable std::mutex Mu;
-  std::map<std::string, CounterSlot> Counters;
-  std::map<std::string, GaugeSlot> Gauges;
 };
 
 } // namespace fast::obs

@@ -38,34 +38,23 @@ WorkerContext::WorkerContext(Session &Base,
   WorkEngine.Trace.slowQueries().setCapacity(
       BaseEngine.Trace.slowQueries().capacity());
 
-  // Share the base timebase unconditionally: buffered trace events and
-  // flight-recorder timestamps must be directly comparable with the
-  // base's at the join point.
+  // Share the base timebase unconditionally: buffered trace events must
+  // be directly comparable with the base's at the join point.
   WorkEngine.Trace.alignEpochTo(BaseEngine.Trace);
 
   // Trace events are order-sensitive: buffer them on the base timebase
-  // for replay at the join point.  Without a base sink nothing buffers
-  // and the worker tracer stays inactive (one branch per hook).
+  // for replay into the base's sink and ring at the join point.  With
+  // neither attached nothing buffers and the worker tracer stays inactive
+  // (one branch per hook).
   if (BaseEngine.Trace.active()) {
     auto Sink = std::make_unique<obs::BufferTraceSink>();
     Buffer = Sink.get();
     WorkEngine.Trace.setSink(std::move(Sink));
   }
-
-  // Mirror the base's flight-recorder arming with a record-only ring (no
-  // dump path: incident dumps are the base's job; a worker ring that
-  // never merges — its task threw — is discarded wholesale).  Rings are
-  // order-sensitive like trace buffers, so they fold into the base ring
-  // at the join point in task-index order, not at task end.
-  if (BaseEngine.Trace.recorder().armed())
-    WorkEngine.Trace.recorder().arm("", BaseEngine.Trace.recorder().capacity());
 }
 
 void WorkerContext::reset() {
   assert(!Buffer && "pooled reuse requires an untraced context");
-  assert(!Work.engine().Trace.recorder().armed() &&
-         "pooled reuse requires an unarmed flight recorder (the runner "
-         "retains contexts whenever the base recorder is armed)");
   engine::SessionEngine &WorkEngine = Work.engine();
   // Restore *observational* freshness: the next task must compute exactly
   // what it would in a brand-new context — same query counts, same cache
@@ -97,22 +86,12 @@ void WorkerContext::mergeInto(Session &Base) {
   Base.Solv.mergeStatsFrom(Work.Solv);
   Base.tracer().slowQueries().mergeFrom(Work.tracer().slowQueries());
   Base.provenance().mergeCoverageFrom(Work.provenance());
-  // Native metric handles sum commutatively, exactly like the stats
-  // shards above.
-  Base.engine().Metrics.mergeFrom(Work.engine().Metrics);
-}
-
-void WorkerContext::mergeFlightRecorderInto(obs::FlightRecorder &BaseFr,
-                                            uint16_t Lane) {
-  const obs::FlightRecorder &FR = Work.engine().Trace.recorder();
-  if (FR.armed())
-    BaseFr.mergeFrom(FR, Lane);
 }
 
 void WorkerContext::replayTraceInto(obs::Tracer &BaseTrace, double Lane) {
   if (!Buffer)
     return;
-  for (const obs::BufferTraceSink::OwnedEvent &E : Buffer->events())
+  for (const obs::BufferTraceSink::BufferedEvent &E : Buffer->events())
     BaseTrace.emitForeign(
         {E.Phase, E.Name, E.Category, E.TsUs, E.DurUs, E.Attrs, Lane});
 }
@@ -135,10 +114,8 @@ ParallelRunner::run(size_t NumTasks,
                     const std::function<void(size_t, WorkerContext &)> &Fn,
                     bool RetainWorkers) {
   // Contexts must outlive their task whenever per-task state is replayed
-  // or merged at the join point in task order: retained results, trace
-  // buffers, and flight-recorder rings.
-  const bool KeepContexts = RetainWorkers || BaseS.engine().Trace.active() ||
-                            BaseS.engine().Trace.recorder().armed();
+  // at the join point in task order: retained results and trace buffers.
+  const bool KeepContexts = RetainWorkers || BaseS.engine().Trace.active();
   std::vector<std::unique_ptr<WorkerContext>> Retained(
       KeepContexts ? NumTasks : 0);
   std::vector<std::exception_ptr> Errors(NumTasks);
@@ -199,26 +176,18 @@ ParallelRunner::run(size_t NumTasks,
   assert((KeepContexts || ContextsBuilt <= Pool) &&
          "pooled run built more contexts than pool threads");
 
-  // Join point: replay order-sensitive trace buffers in task order, so
-  // the merged trace file is identical across schedules.  A task that
-  // threw had its whole scratch state discarded (mergeInto never ran),
-  // so its buffer is skipped too — the trace stream never shows spans
-  // whose counters were not merged.
+  // Join point: replay order-sensitive trace buffers in task order onto
+  // lane 2 + task, so the merged trace file and ring (and its
+  // structureDigest()) are identical across schedules.  A task that threw
+  // had its whole scratch state discarded (mergeInto never ran), so its
+  // buffer is skipped too — the event stream never shows spans whose
+  // counters were not merged.
   obs::Tracer &BaseTrace = BaseS.tracer();
   if (BaseTrace.active())
     for (size_t Task = 0; Task < Retained.size(); ++Task)
       if (Retained[Task] && !Errors[Task])
         Retained[Task]->replayTraceInto(BaseTrace,
                                         /*Lane=*/2 + static_cast<double>(Task));
-
-  // Flight-recorder rings fold in under the same contract: task-index
-  // order onto lane 2 + task, failed tasks discarded wholesale, so the
-  // merged ring — and its structureDigest() — is schedule-independent.
-  if (BaseTrace.recorder().armed())
-    for (size_t Task = 0; Task < Retained.size(); ++Task)
-      if (Retained[Task] && !Errors[Task])
-        Retained[Task]->mergeFlightRecorderInto(
-            BaseTrace.recorder(), static_cast<uint16_t>(2 + Task));
 
   for (size_t Task = 0; Task < NumTasks; ++Task)
     if (Errors[Task])

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstring>
 
 using namespace fast;
 using namespace fast::vm;
@@ -461,7 +460,9 @@ public:
     if (State >= Machine.program().NumStates)
       return std::nullopt; // Unknown state: structural fallback.
     engine::VmStats &VS = Eng->Stats.vm();
-    obs::SpanGuard Span(&Eng->Trace, "vm.run", "vm");
+    obs::Tracer &Trace = Eng->Trace;
+    const bool Traced = Trace.active();
+    const double StartUs = Traced ? Trace.nowUs() : 0;
     const Vm::Counters Before = Machine.counters();
     const auto Start = std::chrono::steady_clock::now();
     SttrRunResult R = Machine.run(State, Input);
@@ -476,18 +477,13 @@ public:
     VS.LookaheadChecks += After.LookaheadChecks - Before.LookaheadChecks;
     VS.ArenaNodes += After.ArenaNodes - Before.ArenaNodes;
     VS.InternedNodes += After.InternedNodes - Before.InternedNodes;
-    if (Span.live()) {
-      Span.add(obs::attr("instructions", After.Instructions - Before.Instructions));
-      Span.add(obs::attr("arena_nodes", After.ArenaNodes - Before.ArenaNodes));
-      Span.add(obs::attr("outputs", static_cast<uint64_t>(R.Outputs.size())));
-    }
-    obs::FlightRecorder &FR = Eng->Trace.recorder();
-    if (FR.armed()) {
-      uint64_t DurBits;
-      std::memcpy(&DurBits, &Us, sizeof(DurBits));
-      FR.recordAt(obs::FrEventType::VmRun, FR.intern("vm.run"),
-                  FR.nowUs() - Us, DurBits,
-                  After.Instructions - Before.Instructions);
+    if (Traced && Trace.active()) {
+      const obs::TraceAttr Attrs[] = {
+          obs::attr("instructions", After.Instructions - Before.Instructions),
+          obs::attr("arena_nodes", After.ArenaNodes - Before.ArenaNodes),
+          obs::attr("outputs", static_cast<uint64_t>(R.Outputs.size())),
+      };
+      Trace.complete("vm.run", "vm", StartUs, Attrs);
     }
     return R;
   }

@@ -251,7 +251,7 @@ TEST(ParallelRunnerTest, FailedTaskLeavesNoStatsOrTrace) {
   ASSERT_NE(It, Stats.end());
   EXPECT_EQ(It->second.Runs, 2u);
   unsigned ComposeBegins = 0;
-  for (const obs::BufferTraceSink::OwnedEvent &E : Raw->events())
+  for (const obs::BufferTraceSink::BufferedEvent &E : Raw->events())
     if (E.Phase == 'B' && E.Name == "compose")
       ++ComposeBegins;
   EXPECT_EQ(ComposeBegins, 2u);
@@ -292,7 +292,7 @@ TEST(ParallelRunnerTest, TraceReplayIsInTaskOrder) {
   // lane 2 + K (lane 1 is the base session's own thread).
   unsigned OpenCompose = 0, ComposeBegins = 0;
   bool Interleaved = false;
-  for (const obs::BufferTraceSink::OwnedEvent &E : Raw->events()) {
+  for (const obs::BufferTraceSink::BufferedEvent &E : Raw->events()) {
     if (E.Phase == 'B' && E.Name == "compose") {
       Interleaved |= OpenCompose != 0;
       ++OpenCompose;

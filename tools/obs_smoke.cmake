@@ -46,8 +46,9 @@ endforeach()
 
 # Flight-recorder leg: force a state-budget exhaustion so the engine dumps
 # the ring at the incident, then validate the dump with trace_check's
-# flight-recorder mode.  The final pre-incident explore.batch events must
-# be present — that is the whole point of an always-on recorder.
+# flight-recorder mode.  The final pre-incident explore.batch events and a
+# construction span end with its counter deltas must be present — that is
+# the whole point of an always-on recorder.
 set(FrFile "${OUT_DIR}/obs_smoke_fr.json")
 execute_process(
   COMMAND "${FASTC}" "--flight-recorder=${FrFile}" --max-states=3 "${PROGRAM}"
@@ -72,10 +73,12 @@ if(NOT CheckOut MATCHES "flight recorder")
     "trace_check did not enter flight-recorder mode for ${FrFile}:\n${CheckOut}")
 endif()
 file(READ "${FrFile}" FrText)
-foreach(Needle "explore.batch" "exploration.stopped" "state budget exceeded")
-  if(NOT FrText MATCHES "${Needle}")
+foreach(Needle "explore.batch" "exploration.stopped" "state budget exceeded"
+               "\"cat\":\"construction\",\"ph\":\"E\"")
+  string(FIND "${FrText}" "${Needle}" At)
+  if(At EQUAL -1)
     message(FATAL_ERROR
-      "flight-recorder dump ${FrFile} lacks \"${Needle}\"")
+      "flight-recorder dump ${FrFile} lacks ${Needle}")
   endif()
 endforeach()
 message(STATUS "obs_smoke_fr.json: ${CheckOut}")
