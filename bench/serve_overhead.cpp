@@ -26,7 +26,7 @@
 #include "apps/ArTaggers.h"
 #include "apps/Deforestation.h"
 #include "BenchJson.h"
-#include "obs/AdminServer.h"
+#include "checks/HttpClient.h"
 #include "transducers/Admin.h"
 
 #include <atomic>

@@ -20,8 +20,8 @@
 /// public listener.  Port 0 binds an ephemeral port; port() reports the
 /// actual one after start().
 ///
-/// A tiny blocking HTTP client (httpRequest) lives here too, shared by
-/// tools/serve_check and the concurrent-scrape tests so neither needs curl.
+/// The blocking client the tests and tools drive it with lives in
+/// checks/HttpClient.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -108,21 +108,6 @@ private:
   std::condition_variable QueueCv;
   std::deque<int> ConnQueue;
 };
-
-/// Result of one blocking HTTP exchange.
-struct HttpResult {
-  bool Ok = false;    // transport-level success (a status line came back)
-  int Status = 0;     // HTTP status code when Ok
-  std::string Body;
-  std::string Error;  // transport error when !Ok
-};
-
-/// One blocking HTTP/1.1 request against 127.0.0.1:\p Port.  \p Target is
-/// the request target including any query ("/metrics?delta=1").  Applies
-/// \p TimeoutMs to connect and to each socket read/write.
-HttpResult httpRequest(uint16_t Port, const std::string &Method,
-                       const std::string &Target, const std::string &Body = "",
-                       int TimeoutMs = 10000);
 
 } // namespace fast::obs
 

@@ -18,7 +18,7 @@
 /// StatsRegistry json()), "coverage" (ProvenanceStore::coverageJson),
 /// "assertions", "witnesses" (rendered explanations), and "slow_queries".
 /// A small inline script renders the island; tools/report_check validates
-/// it offline with JsonCheck.
+/// it offline with checks/JsonCheck.
 ///
 /// The builder consumes pre-serialized JSON fragments and plain strings
 /// only, so fast_obs keeps its support-only link footprint.

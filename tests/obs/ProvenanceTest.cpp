@@ -11,7 +11,7 @@
 #include "TestUtil.h"
 
 #include "automata/StaOps.h"
-#include "obs/JsonCheck.h"
+#include "checks/JsonCheck.h"
 #include "obs/Provenance.h"
 #include "obs/Report.h"
 #include "obs/Tracer.h"

@@ -9,7 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "obs/JsonCheck.h"
+#include "checks/JsonCheck.h"
 #include "testing/Fuzzer.h"
 
 #include "transducers/Sttr.h"

@@ -23,7 +23,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "obs/MetricsCheck.h"
+#include "checks/MetricsCheck.h"
 
 #include <cstring>
 #include <fstream>

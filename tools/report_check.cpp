@@ -19,7 +19,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "obs/JsonCheck.h"
+#include "checks/JsonCheck.h"
 
 #include <cstring>
 #include <fstream>
