@@ -43,7 +43,7 @@ std::vector<StateSet> unionLookahead(const std::vector<StateSet> &X,
 /// and in the construction name their engine statistics accrue to.
 NormalizedSta normalizeSetsAs(Solver &S, const Sta &A,
                               std::span<const StateSet> Seeds,
-                              std::string_view Construction) {
+                              obs::Literal Construction) {
   engine::SessionEngine &E = engine::SessionEngine::of(S);
   engine::ConstructionScope Scope(E.Stats, Construction);
   engine::GuardCache &G = E.Guards;

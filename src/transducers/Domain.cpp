@@ -16,7 +16,7 @@ DomainAutomaton fast::domainAutomaton(const Sttr &S, Solver *Solv) {
   const obs::StateProvenance *SProv = nullptr;
   if (Solv) {
     engine::SessionEngine &E = engine::SessionEngine::of(*Solv);
-    Scope.emplace(E.Stats, "domain");
+    Scope.emplace(E.Stats, obs::Literal("domain"));
     Limits = E.Limits;
     Trace = &E.Trace;
     SProv = E.Prov.sourceTable(S.provenance());
