@@ -103,13 +103,15 @@ GuardCache::minterms(std::span<const TermRef> Guards) {
       C->MintermSplitUs.record(Us);
   }
   if (Span.live()) {
-    Span.add(obs::attr("guards", static_cast<uint64_t>(Canonical.size())));
-    Span.add(obs::attr("regions", static_cast<uint64_t>(Split.Regions.size())));
-    Span.add(obs::attr("computed", static_cast<uint64_t>(Computed ? 1 : 0)));
-    Span.add(obs::attr("nodes_decided",
-                       After.NodesDecided - Before.NodesDecided));
-    Span.add(obs::attr("subsumed",
-                       After.SubsumptionAnswers - Before.SubsumptionAnswers));
+    const obs::TraceAttr Attrs[] = {
+        obs::attr("guards", static_cast<uint64_t>(Canonical.size())),
+        obs::attr("regions", static_cast<uint64_t>(Split.Regions.size())),
+        obs::attr("computed", static_cast<uint64_t>(Computed ? 1 : 0)),
+        obs::attr("nodes_decided", After.NodesDecided - Before.NodesDecided),
+        obs::attr("subsumed",
+                  After.SubsumptionAnswers - Before.SubsumptionAnswers),
+    };
+    Span.end(Attrs);
   }
   return Split;
 }
