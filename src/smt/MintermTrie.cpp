@@ -99,36 +99,32 @@ void MintermTrie::descend(RegionNode &Node, std::span<const TermRef> Guards,
     if (!ChildPtr)
       ChildPtr = std::make_unique<RegionNode>();
     RegionNode &Child = *ChildPtr;
-    Solv.push();
-    Solv.assertTerm(Lit);
+    Lits.push_back(Lit);
     if (Child.Verdict < 0) {
-      Child.Verdict = decideVerdict(Lits, Lit);
+      Child.Verdict = decideVerdict(Lits);
       ++Counters.NodesDecided;
     } else {
       ++Counters.NodeHits;
     }
     if (Child.Verdict == 1) {
-      Lits.push_back(Lit);
       Pols.push_back(Positive);
       descend(Child, Guards, Depth + 1, Lits, Pols, Out);
       Pols.pop_back();
-      Lits.pop_back();
     }
-    Solv.pop();
+    Lits.pop_back();
   }
 }
 
-int MintermTrie::decideVerdict(std::span<const TermRef> AncestorLits,
-                               TermRef Lit) {
-  TermFactory &F = Solv.factory();
-  TermRef NotLit = F.mkNot(Lit);
+int MintermTrie::decideVerdict(std::span<const TermRef> PathLits) {
+  TermRef Lit = PathLits.back();
+  TermRef NotLit = Solv.factory().mkNot(Lit);
   // Subsumption against the ancestor literals: when a single ancestor
   // refutes or implies the new literal, the verdict needs no checkSat at
   // all — in particular no Z3 call when the whole region conjunction is
   // outside the built-in fragment but the deciding pair is not.  The
   // parent region is known satisfiable (descent only enters sat nodes),
   // so a redundant literal leaves the region equal to its parent.
-  for (TermRef A : AncestorLits) {
+  for (TermRef A : PathLits.first(PathLits.size() - 1)) {
     if (Solv.impliesFast(A, NotLit) == Trilean::True) {
       ++Counters.SubsumptionAnswers;
       return 0;
@@ -138,5 +134,5 @@ int MintermTrie::decideVerdict(std::span<const TermRef> AncestorLits,
       return 1;
     }
   }
-  return Solv.checkSat() ? 1 : 0;
+  return Solv.checkSat(PathLits) ? 1 : 0;
 }
