@@ -1,6 +1,6 @@
 //===- bench/ablation_pipeline.cpp - Ablations of design choices ----------===//
 //
-// Measures the two implementation choices DESIGN.md calls out:
+// Measures three implementation choices DESIGN.md calls out:
 //
 //  (a) lookahead simplification after composition: without it, every
 //      compose adds pre-image lookahead states even when they are
@@ -9,23 +9,20 @@
 //      identity: disabled, every guard check pays a full solver query;
 //  (c) the built-in linear-fragment decision procedure consulted before
 //      Z3 (smt/SimpleSolver.h): disabled, every uncached query goes to
-//      the external solver;
-//  (d) the incremental SMT layer: the session-wide minterm trie
-//      (smt/MintermTrie.h) and scoped push/pop solving, toggled
-//      independently on a determinization-heavy type-check workload.
+//      the external solver.
+//
+// The minterm trie has its own per-workload contrast in
+// bench/smt_queries.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/ArTaggers.h"
 #include "apps/Deforestation.h"
-#include "automata/Determinize.h"
-#include "testing/Instance.h"
 #include "transducers/Ops.h"
 
 #include <chrono>
 #include <iomanip>
 #include <iostream>
-#include <utility>
 
 using namespace fast;
 
@@ -134,56 +131,13 @@ void ablationFastPath() {
   }
 }
 
-void ablationIncrementalSmt() {
-  std::cout << "\n--- (d) minterm trie and incremental scoped solving ---\n";
-  std::cout << std::left << std::setw(10) << "trie" << std::setw(10)
-            << "incr" << std::right << std::setw(14) << "total ms"
-            << std::setw(14) << "core checks" << std::setw(10) << "z3"
-            << std::setw(12) << "subsumed" << std::setw(12) << "trie hits"
-            << "\n";
-  const std::pair<bool, bool> Knobs[] = {
-      {false, false}, {true, false}, {true, true}};
-  for (auto [Trie, Incremental] : Knobs) {
-    Session S;
-    S.engine().Guards.setTrieEnabled(Trie);
-    S.Solv.setIncrementalEnabled(Incremental);
-    // Randomized type-check/minimize pipelines: determinization-heavy,
-    // so minterm enumeration dominates the solver traffic (the same
-    // workload bench/smt_queries measures per configuration in full).
-    auto T0 = std::chrono::steady_clock::now();
-    for (unsigned Seed = 1; Seed <= 3; ++Seed) {
-      fast::testing::InstanceOptions Options;
-      Options.SignatureIndex = Seed % 3;
-      Options.NumStates = 3 + Seed % 2;
-      Options.MaxRulesPerCtor = 2 + Seed % 2;
-      Options.NumSamples = 0;
-      fast::testing::FuzzInstance I =
-          fast::testing::makeInstance(S, Seed, Options);
-      typeCheck(S.Solv, I.LangA, *I.Det1, I.LangB);
-      minimizeLanguage(S.Solv, I.LangA);
-    }
-    double TotalMs = msSince(T0);
-    const Solver::Stats &St = S.Solv.stats();
-    const MintermTrie::Stats &Tr = S.engine().Guards.trie().stats();
-    std::cout << std::left << std::setw(10) << (Trie ? "on" : "off")
-              << std::setw(10) << (Incremental ? "on" : "off") << std::right
-              << std::setw(14) << std::fixed << std::setprecision(1)
-              << TotalMs << std::setw(14) << St.CoreChecks << std::setw(10)
-              << St.Z3Checks + St.Z3ModelChecks << std::setw(12)
-              << St.SubsumptionAnswers + Tr.SubsumptionAnswers
-              << std::setw(12) << Tr.NodeHits << "\n";
-  }
-}
-
 } // namespace
 
 int main() {
-  std::cout << "=== Ablations: composition cleanup, solver caching, the "
-               "built-in decision procedure, and the incremental SMT "
-               "layer ===\n";
+  std::cout << "=== Ablations: composition cleanup, solver caching, and the "
+               "built-in decision procedure ===\n";
   ablationLookaheadSimplification();
   ablationSolverCache();
   ablationFastPath();
-  ablationIncrementalSmt();
   return 0;
 }

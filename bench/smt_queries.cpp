@@ -1,13 +1,12 @@
-//===- bench/smt_queries.cpp - Incremental SMT layer query counts ---------===//
+//===- bench/smt_queries.cpp - Minterm trie solver query counts -----------===//
 //
-// Measures what the incremental SMT layer buys in solver traffic: the
-// same three workloads run under three configurations,
+// Measures what the minterm trie buys in solver traffic: the same three
+// workloads run under two configurations,
 //
-//   baseline   minterm trie off, incremental solving off (pre-trie
-//              behaviour: whole-set memo plus the naive enumeration loop)
-//   trie       trie on, incremental solving off (scoped checks fall back
-//              to one-shot conjunction queries)
-//   trie+incr  trie on, scoped push/pop solving on (the default)
+//   baseline   minterm trie off (pre-trie behaviour: whole-set memo plus
+//              the naive enumeration loop)
+//   trie       trie on: shared region verdicts, ancestor subsumption, one
+//              checkSat per undecided region (the default)
 //
 // and reports per-configuration decision-core checks, Z3 checks, and wall
 // time.  Results land in BENCH_smt.json (see BenchJson.h; source tag
@@ -48,13 +47,11 @@ namespace {
 struct Config {
   const char *Name;
   bool Trie;
-  bool Incremental;
 };
 
 constexpr Config Configs[] = {
-    {"baseline", false, false},
-    {"trie", true, false},
-    {"trie+incr", true, true},
+    {"baseline", false},
+    {"trie", true},
 };
 
 struct Measurement {
@@ -127,7 +124,6 @@ Measurement measure(const char *Workload, WorkloadFn Run,
                     const Config &Cfg, bool Smoke) {
   Session S;
   S.engine().Guards.setTrieEnabled(Cfg.Trie);
-  S.Solv.setIncrementalEnabled(Cfg.Incremental);
   S.Solv.resetStats();
   auto T0 = std::chrono::steady_clock::now();
   Run(S, Smoke);
@@ -150,7 +146,6 @@ std::string statsJson(const Measurement &M) {
       << ",\"z3_checks\":" << M.Solv.Z3Checks
       << ",\"z3_model_checks\":" << M.Solv.Z3ModelChecks
       << ",\"scoped_checks\":" << M.Solv.ScopedChecks
-      << ",\"literals_asserted\":" << M.Solv.LiteralsAsserted
       << ",\"subsumption_answers\":" << M.Solv.SubsumptionAnswers
       << ",\"implication_queries\":" << M.Solv.ImplicationQueries
       << ",\"trie_nodes_decided\":" << M.Trie.NodesDecided
@@ -173,7 +168,7 @@ int main(int Argc, char **Argv) {
       OutPath = Argv[I] + 6;
   }
 
-  std::cout << "=== Solver traffic under the incremental SMT layer"
+  std::cout << "=== Solver traffic with and without the minterm trie"
             << (Smoke ? " (smoke)" : "") << " ===\n";
   std::cout << std::left << std::setw(18) << "workload" << std::setw(12)
             << "config" << std::right << std::setw(10) << "queries"
@@ -194,17 +189,15 @@ int main(int Argc, char **Argv) {
                 << M.Solv.SubsumptionAnswers + M.Trie.SubsumptionAnswers
                 << std::setw(10) << M.Trie.NodeHits << std::setw(11)
                 << std::fixed << std::setprecision(1) << M.WallMs << "\n";
-      if (std::strcmp(Cfg.Name, "baseline") == 0) {
+      if (!Cfg.Trie) {
         BaselineCore = M.Solv.CoreChecks;
         BaselineZ3 = z3Total(M.Solv);
-      } else if (std::strcmp(Cfg.Name, "trie+incr") == 0) {
-        if (M.Solv.CoreChecks > BaselineCore ||
-            z3Total(M.Solv) > BaselineZ3) {
-          Monotone = false;
-          std::cout << "  ^ REGRESSION: trie+incr issues more solver "
-                       "checks than baseline on "
-                    << M.Workload << "\n";
-        }
+      } else if (M.Solv.CoreChecks > BaselineCore ||
+                 z3Total(M.Solv) > BaselineZ3) {
+        Monotone = false;
+        std::cout << "  ^ REGRESSION: trie issues more solver checks than "
+                     "baseline on "
+                  << M.Workload << "\n";
       }
       if (!Smoke)
         Json.add(std::string(W.Name) + "/" + Cfg.Name, Smoke ? 0 : 1,
@@ -220,10 +213,9 @@ int main(int Argc, char **Argv) {
       std::cout << "warning: could not write " << OutPath << "\n";
   }
   if (!Monotone) {
-    std::cout << "FAIL: the incremental layer increased solver traffic\n";
+    std::cout << "FAIL: the minterm trie increased solver traffic\n";
     return 1;
   }
-  std::cout << "OK: trie+incr never issues more solver checks than "
-               "baseline\n";
+  std::cout << "OK: trie never issues more solver checks than baseline\n";
   return 0;
 }

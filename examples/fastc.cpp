@@ -442,8 +442,7 @@ int main(int Argc, char **Argv) {
               << " queries, " << Q.CacheHits << " cache-hits, "
               << Q.CoreChecks << " core-checks, " << Q.Z3Checks
               << " z3-checks, " << Q.FastPathAnswers << " fast-path, "
-              << Q.ScopedChecks << " scoped-checks, " << Q.LiteralsAsserted
-              << " literals-asserted, " << Q.SubsumptionAnswers
+              << Q.ScopedChecks << " scoped-checks, " << Q.SubsumptionAnswers
               << " subsumption-answers\n"
               << S.tracer().slowQueries().report();
   }

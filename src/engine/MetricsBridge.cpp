@@ -122,11 +122,8 @@ void fast::engine::collectSessionMetrics(const SessionEngine &Eng,
                   "Z3 checks issued on behalf of getModel()",
                   double(Q.Z3ModelChecks));
   Snap.addCounter("fast_solver_scoped_checks_total",
-                  "checkSat calls under the scoped incremental API",
+                  "Minterm-trie region checks (checkSat calls)",
                   double(Q.ScopedChecks));
-  Snap.addCounter("fast_solver_literals_asserted_total",
-                  "assertTerm calls (one literal each)",
-                  double(Q.LiteralsAsserted));
   Snap.addCounter("fast_solver_subsumption_answers_total",
                   "Queries answered by the syntactic implication check",
                   double(Q.SubsumptionAnswers));

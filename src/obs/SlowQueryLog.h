@@ -30,7 +30,7 @@ class SlowQueryLog {
 public:
   struct Entry {
     double Us = 0;
-    /// Query kind: "isSat", "checkSat" (scoped), or "getModel".
+    /// Query kind: "isSat" or "getModel".
     std::string Kind;
     /// The construction active when the query ran, or "" outside any.
     std::string Construction;

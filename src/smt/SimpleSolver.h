@@ -39,10 +39,9 @@ enum class SimpleResult { Sat, Unsat, Unknown };
 SimpleResult simpleCheckSat(TermRef Pred);
 
 /// Decides the conjunction of \p Conjuncts within the built-in fragment
-/// without materializing an And term.  This is the fast path of the
-/// incremental Solver API: scoped checkSat hands over the asserted
-/// literals as-is, so trie descent costs no term construction when the
-/// fragment decides it.  An empty span is the empty conjunction (Sat).
+/// without materializing an And term; Solver::impliesFast decides A => B
+/// as the pair {A, not B} this way.  An empty span is the empty
+/// conjunction (Sat).
 SimpleResult simpleCheckSat(std::span<const TermRef> Conjuncts);
 
 } // namespace fast

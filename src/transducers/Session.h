@@ -66,7 +66,6 @@ struct Session {
         Solv(Terms, Base.Solv.timeoutMs()) {
     Solv.setCacheEnabled(Base.Solv.cacheEnabled());
     Solv.setFastPathEnabled(Base.Solv.fastPathEnabled());
-    Solv.setIncrementalEnabled(Base.Solv.incrementalEnabled());
     Solv.setExtension(
         std::make_unique<engine::SessionEngine>(Solv, /*ConfigureFromEnv=*/false));
   }

@@ -2,8 +2,9 @@
 //
 // The session-wide minterm trie: partition correctness, differential
 // equality against the naive computeMinterms oracle on randomized guard
-// sets, split-index reuse, prefix sharing across overlapping sets, and
-// verdict stability across solver pops.
+// sets, split-index reuse, prefix sharing across overlapping sets,
+// verdict stability across interleaved one-shot queries, and what the
+// solver's ScopedChecks counter (smt.scoped_checks) measures.
 //
 //===----------------------------------------------------------------------===//
 
@@ -165,17 +166,14 @@ TEST_F(MintermTrieTest, SubsumedBranchesSkipSolverChecks) {
   EXPECT_GT(Trie.stats().SubsumptionAnswers, 0u);
 }
 
-TEST_F(MintermTrieTest, VerdictsSurvivePopsAndInterleavedScopes) {
-  // Enumeration descends via push/pop; interleave explicit scope work and
-  // re-enumerate a superset: memoized verdicts must still be correct.
+TEST_F(MintermTrieTest, VerdictsSurviveInterleavedOneShotQueries) {
+  // Interleave a one-shot query between two enumerations and re-enumerate
+  // a superset: memoized verdicts must still be correct.
   TermRef A = intLt(X, 2);
   TermRef B = F.mkEq(Tag, F.stringConst("div"));
   Trie.minterms(canonical({A}));
 
-  S.push();
-  S.assertTerm(F.mkLt(F.intConst(100), X));
-  EXPECT_TRUE(S.checkSat());
-  S.pop();
+  EXPECT_TRUE(S.isSat(F.mkLt(F.intConst(100), X)));
 
   const MintermSplit &Split = Trie.minterms(canonical({A, B}));
   EXPECT_EQ(Split.Regions.size(), 4u);
@@ -184,6 +182,33 @@ TEST_F(MintermTrieTest, VerdictsSurvivePopsAndInterleavedScopes) {
   const MintermSplit &Single = Trie.minterms(canonical({A}));
   EXPECT_EQ(Single.Regions.size(), 2u);
   expectPartition(Single.Regions);
+}
+
+TEST_F(MintermTrieTest, ScopedChecksCountRegionChecksAndShareSatCache) {
+  // x<4 implies x<10, so subsumption decides part of the descent but not
+  // all of it; the tag guard is refined last and no x-literal decides it.
+  TermRef Lt4 = intLt(X, 4);
+  TermRef Lt10 = intLt(X, 10);
+  TermRef IsDiv = F.mkEq(Tag, F.stringConst("div")); // Created last.
+  std::vector<TermRef> Guards = canonical({Lt4, Lt10, IsDiv});
+  ASSERT_EQ(Guards.back(), IsDiv);
+  const MintermSplit &Split = Trie.minterms(Guards);
+  const MintermTrie::Stats &T = Trie.stats();
+  ASSERT_GT(T.SubsumptionAnswers, 0u);
+  ASSERT_LT(T.SubsumptionAnswers, T.NodesDecided);
+  // Every decided node not settled by subsumption is one checkSat.
+  EXPECT_EQ(S.stats().ScopedChecks, T.NodesDecided - T.SubsumptionAnswers);
+
+  // A region's verdict was cached under its conjunction term, so a
+  // one-shot query of an emitted region costs no decision core.
+  ASSERT_FALSE(Split.Regions.empty());
+  for (const Minterm &M : Split.Regions) {
+    uint64_t HitsBefore = S.stats().CacheHits;
+    uint64_t CoreBefore = S.stats().CoreChecks;
+    EXPECT_TRUE(S.isSat(M.Predicate));
+    EXPECT_EQ(S.stats().CacheHits, HitsBefore + 1);
+    EXPECT_EQ(S.stats().CoreChecks, CoreBefore);
+  }
 }
 
 } // namespace

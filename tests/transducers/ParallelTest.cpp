@@ -136,7 +136,7 @@ std::string counterFingerprint(Session &S) {
   const Solver::Stats &Q = S.Solv.stats();
   Out << "solver:" << Q.Queries << "," << Q.SatAnswers << ","
       << Q.UnsatAnswers << "," << Q.FastPathAnswers << "," << Q.CoreChecks
-      << "," << Q.ScopedChecks << "," << Q.LiteralsAsserted;
+      << "," << Q.ScopedChecks;
   return Out.str();
 }
 
