@@ -161,7 +161,7 @@ DeterminizedSta fast::determinize(Solver &S, const Sta &A) {
     std::vector<TermRef> Guards;
     for (const ApplicableRule &AR : Applicable)
       Guards.push_back(AR.Guard);
-    const engine::GuardCache::MintermSplit &Split = G.minterms(Guards);
+    const MintermSplit &Split = G.minterms(Guards);
     std::map<TermRef, unsigned> GuardIndex;
     for (unsigned I = 0; I < Split.Guards.size(); ++I)
       GuardIndex[Split.Guards[I]] = I;

@@ -74,7 +74,7 @@ void GuardCache::recordQueryLatency(double Us) {
     C->SolverQueryUs.record(Us);
 }
 
-const GuardCache::MintermSplit &
+const MintermSplit &
 GuardCache::minterms(std::span<const TermRef> Guards) {
   std::vector<TermRef> Canonical(Guards.begin(), Guards.end());
   std::sort(Canonical.begin(), Canonical.end(),

@@ -57,11 +57,6 @@ public:
   /// Solver's subsumption-aware implication core.
   bool implies(TermRef A, TermRef B);
 
-  /// Backwards-compatible alias: the split type now lives in
-  /// smt/Minterms.h so the trie (an smt-layer component) can own the
-  /// storage.
-  using MintermSplit = fast::MintermSplit;
-
   /// The minterm partition of \p Guards.  The input is canonicalized
   /// (sorted by term id, deduplicated) before lookup, so any permutation
   /// or duplication of the same guard set hits the same trie paths.  The
