@@ -312,8 +312,7 @@ std::vector<StateWitnessInfo> witnessTable(Solver &S, const Sta &A,
       Info.RuleIndex = Index;
       if (RecordModels)
         Info.Model = *Attrs;
-      Info.Tree =
-          Trees.make(Sig, R.CtorId, std::move(*Attrs), std::move(Children));
+      Info.Tree = Trees.make(Sig, R.CtorId, *Attrs, Children);
       Changed = true;
     }
   }

@@ -231,8 +231,7 @@ public:
       }
       Children.push_back(C->Tree);
     }
-    return FastValue::ofTree(
-        S.Trees.make(Sig, *CtorId, std::move(Attrs), std::move(Children)));
+    return FastValue::ofTree(S.Trees.make(Sig, *CtorId, Attrs, Children));
   }
 
   /// Filled by evalAssertion when a witness was found with provenance

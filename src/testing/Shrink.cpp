@@ -145,10 +145,8 @@ ShrinkResult fast::testing::shrinkFailure(const Oracle &O, unsigned Seed,
       std::vector<Value> Defaults;
       for (unsigned A = 0; A < Sig.numAttrs(); ++A)
         Defaults.push_back(defaultValue(Sig.attrSpec(A).TheSort));
-      std::vector<TreeRef> Children(Best->children().begin(),
-                                    Best->children().end());
       TreeRef Defaulted =
-          S.Trees.make(I.Sig, Best->ctorId(), Defaults, std::move(Children));
+          S.Trees.make(I.Sig, Best->ctorId(), Defaults, Best->children());
       if (Defaulted != Best)
         Candidates.push_back(Defaulted);
       for (TreeRef Candidate : Candidates) {

@@ -90,13 +90,11 @@ SttrRunner::Entry SttrRunner::instantiate(OutputRef Out, TreeRef Input) {
   }
 
   std::vector<size_t> Pick(ChildSets.size(), 0);
+  std::vector<TreeRef> Children(ChildSets.size());
   while (true) {
-    std::vector<TreeRef> Children;
-    Children.reserve(ChildSets.size());
     for (size_t I = 0; I < ChildSets.size(); ++I)
-      Children.push_back(ChildSets[I][Pick[I]]);
-    Result.Outputs.push_back(
-        Trees.make(Sig, Out->ctorId(), Attrs, std::move(Children)));
+      Children[I] = ChildSets[I][Pick[I]];
+    Result.Outputs.push_back(Trees.make(Sig, Out->ctorId(), Attrs, Children));
     if (Result.Outputs.size() > MaxOutputs) {
       Result.Truncated = true;
       Result.Outputs.resize(MaxOutputs);

@@ -51,5 +51,5 @@ TreeRef RandomTreeGen::generateAtDepth(unsigned Remaining) {
   Children.reserve(Sig->rank(CtorId));
   for (unsigned I = 0; I < Sig->rank(CtorId); ++I)
     Children.push_back(generateAtDepth(Remaining - 1));
-  return Factory.make(Sig, CtorId, std::move(Attrs), std::move(Children));
+  return Factory.make(Sig, CtorId, Attrs, Children);
 }

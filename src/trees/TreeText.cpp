@@ -213,7 +213,7 @@ private:
            " child(ren), got " + std::to_string(Children.size()));
       return nullptr;
     }
-    return Factory.make(Sig, *CtorId, std::move(Attrs), std::move(Children));
+    return Factory.make(Sig, *CtorId, Attrs, Children);
   }
 
   TreeFactory &Factory;

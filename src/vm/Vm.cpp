@@ -60,10 +60,8 @@ SttrRunResult Vm::run(uint32_t State, TreeRef Input) {
                      // single-output, so the bound cannot trip.
   int32_t Root = evalState(State, Input);
   C.ArenaNodes += Arena.numNodes();
-  if (Root >= 0) {
-    InternMemo.assign(Arena.numNodes(), nullptr);
+  if (Root >= 0)
     Res.Outputs.push_back(intern(static_cast<uint32_t>(Root)));
-  }
   return Res;
 }
 
@@ -141,23 +139,40 @@ bool Vm::evalLa(uint32_t LaState, TreeRef Node) {
   return Accepted;
 }
 
-TreeRef Vm::intern(uint32_t ArenaId) {
-  TreeRef &Slot = InternMemo[ArenaId];
-  if (Slot)
-    return Slot;
-  const VmArena::Node &N = Arena.node(ArenaId);
-  std::vector<TreeRef> Children(N.Rank);
-  const uint32_t *Kids = Arena.children(N);
-  for (unsigned I = 0; I < N.Rank; ++I)
-    Children[I] = intern(Kids[I]);
-  std::vector<Value> Attrs;
-  Attrs.reserve(N.NumAttrs);
-  const VmValue *A = Arena.attrs(N);
-  for (unsigned I = 0; I < N.NumAttrs; ++I)
-    Attrs.push_back(A[I].box());
-  ++C.InternedNodes;
-  Slot = Trees.make(P->Sig, N.Ctor, std::move(Attrs), std::move(Children));
-  return Slot;
+TreeRef Vm::intern(uint32_t Root) {
+  // Arena nodes are appended after their children, so ids ascend bottom
+  // up: one descending sweep marks what the root reaches, and one
+  // ascending sweep interns exactly those nodes, building every key in the
+  // same two buffers.
+  Reached.assign(Root + 1, 0);
+  Reached[Root] = 1;
+  for (uint32_t Id = Root + 1; Id-- > 0;) {
+    if (!Reached[Id])
+      continue;
+    const VmArena::Node &N = Arena.node(Id);
+    const uint32_t *Kids = Arena.children(N);
+    for (unsigned I = 0; I < N.Rank; ++I) {
+      assert(Kids[I] < Id && "arena node older than its child");
+      Reached[Kids[I]] = 1;
+    }
+  }
+  InternMemo.resize(Root + 1);
+  for (uint32_t Id = 0; Id <= Root; ++Id) {
+    if (!Reached[Id])
+      continue;
+    const VmArena::Node &N = Arena.node(Id);
+    const uint32_t *Kids = Arena.children(N);
+    ChildBuf.clear();
+    for (unsigned I = 0; I < N.Rank; ++I)
+      ChildBuf.push_back(InternMemo[Kids[I]]);
+    const VmValue *A = Arena.attrs(N);
+    AttrBuf.clear();
+    for (unsigned I = 0; I < N.NumAttrs; ++I)
+      AttrBuf.push_back(A[I].box());
+    ++C.InternedNodes;
+    InternMemo[Id] = Trees.make(P->Sig, N.Ctor, AttrBuf, ChildBuf);
+  }
+  return InternMemo[Root];
 }
 
 //===----------------------------------------------------------------------===//

@@ -100,8 +100,8 @@ TEST_F(EdgeCaseTest, HighRankConstructor) {
   std::vector<TreeRef> Kids;
   for (int64_t I = 0; I < 5; ++I)
     Kids.push_back(MakeLeaf(I, 10 + I));
-  TreeRef In = S.Trees.make(Wide, Penta,
-                            {Value::integer(7), Value::integer(8)}, Kids);
+  const Value Attrs[] = {Value::integer(7), Value::integer(8)};
+  TreeRef In = S.Trees.make(Wide, Penta, Attrs, Kids);
   std::vector<TreeRef> Out = runSttr(*T, S.Trees, In);
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_EQ(Out.front()->attr(0).getInt(), 8);

@@ -52,13 +52,20 @@ TEST(FreezeTest, FrozenLookupsAreStableAcrossThreads) {
   Session S;
   SignatureRef Sig = makeBtSig();
   TermRef I = Sig->attrTerm(S.Terms, 0);
+  unsigned L = *Sig->findConstructor("L"), N = *Sig->findConstructor("N");
   std::vector<TermRef> Guards;
-  for (int64_t K = 0; K < 64; ++K)
+  std::vector<TreeRef> Nodes;
+  for (int64_t K = 0; K < 64; ++K) {
     Guards.push_back(S.Terms.mkGt(I, S.Terms.intConst(K)));
+    TreeRef Leaf = S.Trees.makeLeaf(Sig, L, {Value::integer(K)});
+    Nodes.push_back(S.Trees.make(Sig, N, {Value::integer(K)}, {Leaf, Leaf}));
+  }
+  const size_t BaseNodes = S.Trees.numNodes();
   S.freeze();
 
   // Every thread re-interns the same structures through its own overlay
-  // and must resolve each to the frozen base pointer.
+  // and must resolve each to the frozen base pointer, while interning
+  // new trees over base children locally.
   std::vector<std::thread> Threads;
   // char, not bool: vector<bool> packs bits into shared words, which
   // would itself be a data race across the writer threads.
@@ -67,9 +74,19 @@ TEST(FreezeTest, FrozenLookupsAreStableAcrossThreads) {
     Threads.emplace_back([&, T] {
       Session Overlay(Session::OverlayTag{}, S);
       bool AllSame = true;
-      for (int64_t K = 0; K < 64; ++K)
+      for (int64_t K = 0; K < 64; ++K) {
         AllSame &= Overlay.Terms.mkGt(I, Overlay.Terms.intConst(K)) ==
                    Guards[static_cast<size_t>(K)];
+        TreeRef Leaf = Overlay.Trees.makeLeaf(Sig, L, {Value::integer(K)});
+        TreeRef Node = Nodes[static_cast<size_t>(K)];
+        AllSame &=
+            Overlay.Trees.make(Sig, N, {Value::integer(K)}, {Leaf, Leaf}) ==
+            Node;
+        AllSame &= Overlay.Trees.make(Sig, N, {Value::integer(-1 - K)},
+                                      {Node, Leaf})
+                       ->child(0) == Node;
+      }
+      AllSame &= Overlay.Trees.numNodes() == BaseNodes + 64;
       Ok[T] = AllSame;
     });
   for (std::thread &T : Threads)
