@@ -6,9 +6,11 @@
 #include "transducers/Run.h"
 #include "vm/Vm.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 #include <random>
+#include <string_view>
 
 using namespace fast;
 using namespace fast::html;
@@ -138,16 +140,9 @@ SanitizerPipeline fast::html::buildSanitizerPipeline(Session &S) {
 
 namespace {
 
-/// Intermediate DOM used between text and the binary HtmlE encoding.
-struct DomNode {
-  std::string Tag;
-  std::vector<std::pair<std::string, std::string>> Attrs;
-  std::vector<DomNode> Children;
-};
-
 constexpr unsigned CtorNil = 0, CtorVal = 1, CtorAttr = 2, CtorNode = 3;
 
-bool isVoidTag(const std::string &Tag) {
+bool isVoidTag(std::string_view Tag) {
   static const char *Voids[] = {"br",   "img",  "hr",    "meta",
                                 "link", "input", "area", "col"};
   for (const char *V : Voids)
@@ -156,20 +151,67 @@ bool isVoidTag(const std::string &Tag) {
   return false;
 }
 
+/// Parses HTML text straight into HtmlE.  Open elements live on an explicit
+/// stack and every sibling list is folded right to left in a loop once its
+/// parent closes, so no input shape makes the parser recurse.
 class HtmlParser {
 public:
-  HtmlParser(const std::string &Html) : Html(Html) {}
+  HtmlParser(TreeFactory &Trees, const SignatureRef &Sig,
+             const std::string &Html)
+      : Trees(Trees), Sig(Sig), Html(Html) {
+    const Value Empty[] = {Value::string("")};
+    Nil = Trees.make(Sig, CtorNil, Empty, {});
+  }
 
-  bool parse(std::vector<DomNode> &Roots, std::string &Error) {
-    parseNodes(Roots, "");
+  TreeRef parse(std::string &Error) {
+    while (Pos < Html.size() && Message.empty()) {
+      if (Html[Pos] == '<') {
+        if (Html.compare(Pos, 4, "<!--") == 0) {
+          size_t End = Html.find("-->", Pos);
+          Pos = End == std::string::npos ? Html.size() : End + 3;
+        } else if (Pos + 1 < Html.size() && Html[Pos + 1] == '/') {
+          parseClosingTag();
+        } else {
+          parseElement();
+        }
+        continue;
+      }
+      // Text run: becomes a "text" element holding the run as its text
+      // attribute, so the document stays a single uniform tree.
+      // Whitespace-only runs are dropped.
+      size_t Start = Pos;
+      while (Pos < Html.size() && Html[Pos] != '<')
+        ++Pos;
+      std::string_view Text(Html.data() + Start, Pos - Start);
+      if (!std::all_of(Text.begin(), Text.end(), [](char C) {
+            return std::isspace(static_cast<unsigned char>(C)) != 0;
+          }))
+        Siblings.push_back({"text", encodeAttr("text", Text, Nil), Nil});
+    }
     if (!Message.empty()) {
       Error = Message + " at offset " + std::to_string(ErrorPos);
-      return false;
+      return nullptr;
     }
-    return true;
+    // End of input closes every element still open.
+    while (!Open.empty())
+      closeElement();
+    return foldSiblings(0);
   }
 
 private:
+  /// An element or text run whose next sibling is not known yet.
+  struct Pending {
+    std::string_view Tag;
+    TreeRef Attrs;
+    TreeRef Children;
+  };
+  /// An element whose closing tag has not been read yet.
+  struct OpenElement {
+    std::string_view Tag;
+    TreeRef Attrs;
+    size_t FirstChild; ///< Index of its first child in Siblings.
+  };
+
   void fail(const std::string &Msg) {
     if (Message.empty()) {
       Message = Msg;
@@ -183,246 +225,214 @@ private:
       ++Pos;
   }
 
-  std::string parseName() {
+  std::string_view parseName() {
     size_t Start = Pos;
     while (Pos < Html.size() &&
            (std::isalnum(static_cast<unsigned char>(Html[Pos])) ||
             Html[Pos] == '-' || Html[Pos] == '_'))
       ++Pos;
-    return Html.substr(Start, Pos - Start);
+    return std::string_view(Html.data() + Start, Pos - Start);
   }
 
-  /// Parses siblings until `</Stop` or end of input.
-  void parseNodes(std::vector<DomNode> &Out, const std::string &Stop) {
-    while (Pos < Html.size() && Message.empty()) {
-      if (Html[Pos] == '<') {
-        if (Html.compare(Pos, 4, "<!--") == 0) {
-          size_t End = Html.find("-->", Pos);
-          Pos = End == std::string::npos ? Html.size() : End + 3;
-          continue;
-        }
-        if (Pos + 1 < Html.size() && Html[Pos + 1] == '/') {
-          // Closing tag: ours or an ancestor's.
-          if (!Stop.empty() &&
-              Html.compare(Pos + 2, Stop.size(), Stop) == 0) {
-            Pos += 2 + Stop.size();
-            while (Pos < Html.size() && Html[Pos] != '>')
-              ++Pos;
-            if (Pos < Html.size())
-              ++Pos;
-          } else {
-            fail("unexpected closing tag");
-          }
-          return;
-        }
-        DomNode Node;
-        if (!parseElement(Node))
-          return;
-        Out.push_back(std::move(Node));
-        continue;
-      }
-      // Text run: becomes a "text" pseudo-attribute on the parent; at the
-      // top level whitespace-only runs are dropped.
-      size_t Start = Pos;
-      while (Pos < Html.size() && Html[Pos] != '<')
-        ++Pos;
-      std::string Text = Html.substr(Start, Pos - Start);
-      bool AllSpace = true;
-      for (char C : Text)
-        AllSpace &= std::isspace(static_cast<unsigned char>(C)) != 0;
-      if (!AllSpace) {
-        DomNode TextNode;
-        TextNode.Tag = ""; // marker: text
-        TextNode.Attrs.push_back({"text", Text});
-        Out.push_back(std::move(TextNode));
-      }
+  /// `</...`: closes the innermost open element, whose name it must start
+  /// with.
+  void parseClosingTag() {
+    if (Open.empty() ||
+        Html.compare(Pos + 2, Open.back().Tag.size(), Open.back().Tag) != 0) {
+      fail("unexpected closing tag");
+      return;
     }
+    Pos += 2 + Open.back().Tag.size();
+    while (Pos < Html.size() && Html[Pos] != '>')
+      ++Pos;
+    if (Pos < Html.size())
+      ++Pos;
+    closeElement();
   }
 
-  bool parseElement(DomNode &Node) {
+  void parseElement() {
     ++Pos; // '<'
-    Node.Tag = parseName();
-    if (Node.Tag.empty()) {
+    std::string_view Tag = parseName();
+    if (Tag.empty()) {
       fail("expected element name");
-      return false;
+      return;
     }
-    // Attributes.
+    AttrText.clear();
     while (true) {
       skipSpace();
       if (Pos >= Html.size()) {
         fail("unterminated tag");
-        return false;
+        return;
       }
       if (Html[Pos] == '>' || (Html[Pos] == '/' && Pos + 1 < Html.size() &&
                                Html[Pos + 1] == '>'))
         break;
-      std::string Name = parseName();
+      std::string_view Name = parseName();
       if (Name.empty()) {
         fail("expected attribute name");
-        return false;
+        return;
       }
-      std::string ValueText;
+      std::string_view Text;
       skipSpace();
       if (Pos < Html.size() && Html[Pos] == '=') {
         ++Pos;
         skipSpace();
+        size_t Start = Pos;
         if (Pos < Html.size() && (Html[Pos] == '"' || Html[Pos] == '\'')) {
           char Quote = Html[Pos++];
-          size_t Start = Pos;
+          Start = Pos;
           while (Pos < Html.size() && Html[Pos] != Quote)
             ++Pos;
           if (Pos >= Html.size()) {
             fail("unterminated attribute value");
-            return false;
+            return;
           }
-          ValueText = Html.substr(Start, Pos - Start);
+          Text = std::string_view(Html.data() + Start, Pos - Start);
           ++Pos;
         } else {
-          size_t Start = Pos;
           while (Pos < Html.size() && !std::isspace(static_cast<unsigned char>(
                                           Html[Pos])) &&
                  Html[Pos] != '>')
             ++Pos;
-          ValueText = Html.substr(Start, Pos - Start);
+          Text = std::string_view(Html.data() + Start, Pos - Start);
         }
       }
-      Node.Attrs.push_back({std::move(Name), std::move(ValueText)});
+      AttrText.emplace_back(Name, Text);
     }
-    if (Html[Pos] == '/') {
-      Pos += 2; // "/>"
-      return true;
-    }
-    ++Pos; // '>'
-    if (isVoidTag(Node.Tag))
-      return true;
-    parseNodes(Node.Children, Node.Tag);
-    return Message.empty();
+    TreeRef Attrs = Nil;
+    for (auto It = AttrText.rbegin(); It != AttrText.rend(); ++It)
+      Attrs = encodeAttr(It->first, It->second, Attrs);
+    bool SelfClosing = Html[Pos] == '/';
+    Pos += SelfClosing ? 2 : 1; // "/>" or '>'
+    if (SelfClosing || isVoidTag(Tag))
+      Siblings.push_back({Tag, Attrs, Nil});
+    else
+      Open.push_back({Tag, Attrs, Siblings.size()});
   }
 
+  void closeElement() {
+    OpenElement E = Open.back();
+    Open.pop_back();
+    TreeRef Children = foldSiblings(E.FirstChild);
+    Siblings.push_back({E.Tag, E.Attrs, Children});
+  }
+
+  /// Encodes Siblings[First..] as a node chain ending in nil and pops them.
+  TreeRef foldSiblings(size_t First) {
+    TreeRef Next = Nil;
+    for (size_t I = Siblings.size(); I-- > First;) {
+      const Pending &P = Siblings[I];
+      const Value Tag[] = {Value::string(std::string(P.Tag))};
+      const TreeRef Kids[] = {P.Attrs, P.Children, Next};
+      Next = Trees.make(Sig, CtorNode, Tag, Kids);
+    }
+    Siblings.resize(First);
+    return Next;
+  }
+
+  /// `attr[Name](Text as a val-chain, Next)`.
+  TreeRef encodeAttr(std::string_view Name, std::string_view Text,
+                     TreeRef Next) {
+    const Value NameVal[] = {Value::string(std::string(Name))};
+    const TreeRef Kids[] = {encodeString(Text), Next};
+    return Trees.make(Sig, CtorAttr, NameVal, Kids);
+  }
+
+  /// Encodes a string as a val-chain ending in nil (Figure 3).
+  TreeRef encodeString(std::string_view Text) {
+    TreeRef Chain = Nil;
+    for (auto It = Text.rbegin(); It != Text.rend(); ++It) {
+      const Value Char[] = {Value::string(std::string(1, *It))};
+      const TreeRef Rest[] = {Chain};
+      Chain = Trees.make(Sig, CtorVal, Char, Rest);
+    }
+    return Chain;
+  }
+
+  TreeFactory &Trees;
+  const SignatureRef &Sig;
   const std::string &Html;
+  TreeRef Nil = nullptr;
   size_t Pos = 0;
   std::string Message;
   size_t ErrorPos = 0;
+  std::vector<OpenElement> Open;
+  /// The sibling lists of every open element, outermost first.
+  std::vector<Pending> Siblings;
+  std::vector<std::pair<std::string_view, std::string_view>> AttrText;
 };
 
-/// Encodes a string as a val-chain ending in nil (Figure 3).
-TreeRef encodeString(Session &S, const SignatureRef &Sig,
-                     const std::string &Text) {
-  TreeRef Chain = S.Trees.makeLeaf(Sig, CtorNil, {Value::string("")});
-  for (auto It = Text.rbegin(); It != Text.rend(); ++It)
-    Chain = S.Trees.make(Sig, CtorVal, {Value::string(std::string(1, *It))},
-                         {Chain});
-  return Chain;
+/// Appends the characters of val-chain \p Chain to \p Out.
+void appendChars(TreeRef Chain, std::string &Out) {
+  for (; Chain->ctorId() == CtorVal; Chain = Chain->child(0))
+    Out += Chain->attr(0).getString();
 }
 
-TreeRef encodeNodes(Session &S, const SignatureRef &Sig,
-                    const std::vector<DomNode> &Nodes, size_t Index);
-
-/// Encodes the attribute list (including "text" pseudo-attributes gathered
-/// from text children).
-TreeRef encodeAttrs(Session &S, const SignatureRef &Sig, const DomNode &Node,
-                    size_t Index) {
-  if (Index >= Node.Attrs.size())
-    return S.Trees.makeLeaf(Sig, CtorNil, {Value::string("")});
-  const auto &[Name, Text] = Node.Attrs[Index];
-  return S.Trees.make(Sig, CtorAttr, {Value::string(Name)},
-                      {encodeString(S, Sig, Text),
-                       encodeAttrs(S, Sig, Node, Index + 1)});
-}
-
-TreeRef encodeNode(Session &S, const SignatureRef &Sig, const DomNode &Node,
-                   TreeRef NextSibling) {
-  // Text pseudo-nodes become elements tagged "text" holding the run as a
-  // text attribute, so the document stays a single uniform tree.
-  std::string Tag = Node.Tag.empty() ? "text" : Node.Tag;
-  return S.Trees.make(Sig, CtorNode, {Value::string(Tag)},
-                      {encodeAttrs(S, Sig, Node, 0),
-                       encodeNodes(S, Sig, Node.Children, 0), NextSibling});
-}
-
-TreeRef encodeNodes(Session &S, const SignatureRef &Sig,
-                    const std::vector<DomNode> &Nodes, size_t Index) {
-  if (Index >= Nodes.size())
-    return S.Trees.makeLeaf(Sig, CtorNil, {Value::string("")});
-  return encodeNode(S, Sig, Nodes[Index],
-                    encodeNodes(S, Sig, Nodes, Index + 1));
-}
-
-std::string decodeString(TreeRef Chain) {
-  std::string Text;
-  while (Chain->ctorId() == CtorVal) {
-    Text += Chain->attr(0).getString();
-    Chain = Chain->child(0);
+/// Renders a text node's text, or an element's opening tag and its text
+/// runs; returns true when the element's children and closing tag are
+/// still to come.
+bool renderOpen(TreeRef Node, std::string &Out) {
+  const std::string &Tag = Node->attr(0).getString();
+  const bool IsText = Tag == "text";
+  std::string TextRuns;
+  if (!IsText) {
+    Out += '<';
+    Out += Tag;
   }
-  return Text;
-}
-
-void renderNode(TreeRef Node, std::string &Out);
-
-void renderAttrs(TreeRef Attr, std::string &Out, std::string &TextRuns) {
-  while (Attr->ctorId() == CtorAttr) {
+  for (TreeRef Attr = Node->child(0); Attr->ctorId() == CtorAttr;
+       Attr = Attr->child(1)) {
     const std::string &Name = Attr->attr(0).getString();
-    std::string Text = decodeString(Attr->child(0));
     if (Name == "text") {
-      TextRuns += Text;
-    } else {
+      appendChars(Attr->child(0), IsText ? Out : TextRuns);
+    } else if (!IsText) {
       Out += ' ';
       Out += Name;
       Out += "=\"";
-      Out += Text;
+      appendChars(Attr->child(0), Out);
       Out += '"';
     }
-    Attr = Attr->child(1);
   }
-}
-
-void renderSiblings(TreeRef Node, std::string &Out) {
-  while (Node->ctorId() == CtorNode) {
-    renderNode(Node, Out);
-    Node = Node->child(2);
-  }
-}
-
-void renderNode(TreeRef Node, std::string &Out) {
-  const std::string &Tag = Node->attr(0).getString();
-  std::string TextRuns;
-  if (Tag == "text") {
-    std::string Dummy;
-    renderAttrs(Node->child(0), Dummy, TextRuns);
-    Out += TextRuns;
-    return;
-  }
-  Out += '<';
-  Out += Tag;
-  renderAttrs(Node->child(0), Out, TextRuns);
-  bool Empty = Node->child(1)->ctorId() == CtorNil && TextRuns.empty();
-  if (Empty && isVoidTag(Tag)) {
+  if (IsText)
+    return false;
+  if (Node->child(1)->ctorId() == CtorNil && TextRuns.empty() &&
+      isVoidTag(Tag)) {
     Out += " />";
-    return;
+    return false;
   }
   Out += '>';
   Out += TextRuns;
-  renderSiblings(Node->child(1), Out);
-  Out += "</";
-  Out += Tag;
-  Out += '>';
+  return true;
 }
 
 } // namespace
 
 TreeRef fast::html::parseHtml(Session &S, const SignatureRef &Sig,
                               const std::string &Html, std::string &Error) {
-  std::vector<DomNode> Roots;
-  HtmlParser Parser(Html);
-  if (!Parser.parse(Roots, Error))
-    return nullptr;
-  return encodeNodes(S, Sig, Roots, 0);
+  return HtmlParser(S.Trees, Sig, Html).parse(Error);
 }
 
 std::string fast::html::renderHtml(TreeRef Doc) {
   std::string Out;
-  renderSiblings(Doc, Out);
-  return Out;
+  std::vector<TreeRef> Open; // Elements whose closing tag is still due.
+  TreeRef Node = Doc;
+  while (true) {
+    if (Node->ctorId() == CtorNode) {
+      if (renderOpen(Node, Out)) {
+        Open.push_back(Node);
+        Node = Node->child(1);
+      } else {
+        Node = Node->child(2);
+      }
+      continue;
+    }
+    if (Open.empty())
+      return Out;
+    Out += "</";
+    Out += Open.back()->attr(0).getString();
+    Out += '>';
+    Node = Open.back()->child(2);
+    Open.pop_back();
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -530,10 +540,10 @@ public:
     // Script elements vanish; processing continues with the next sibling.
     if (Node->attr(0).getString() == "script")
       return sanitizeNode(Node->child(2));
-    return S.Trees.make(Sig, CtorNode, {Node->attr(0)},
-                        {escapeAttrs(Node->child(0)),
-                         sanitizeNode(Node->child(1)),
-                         sanitizeNode(Node->child(2))});
+    const TreeRef Kids[] = {escapeAttrs(Node->child(0)),
+                            sanitizeNode(Node->child(1)),
+                            sanitizeNode(Node->child(2))};
+    return S.Trees.make(Sig, CtorNode, Node->attrs(), Kids);
   }
 
 private:
@@ -541,24 +551,25 @@ private:
     if (Attr->ctorId() == CtorNil)
       return Attr;
     assert(Attr->ctorId() == CtorAttr && "expected an attr chain");
-    return S.Trees.make(Sig, CtorAttr, {Attr->attr(0)},
-                        {escapeValue(Attr->child(0)),
-                         escapeAttrs(Attr->child(1))});
+    const TreeRef Kids[] = {escapeValue(Attr->child(0)),
+                            escapeAttrs(Attr->child(1))};
+    return S.Trees.make(Sig, CtorAttr, Attr->attrs(), Kids);
   }
 
   TreeRef escapeValue(TreeRef Val) {
     if (Val->ctorId() == CtorNil)
       return Val;
     const std::string &C = Val->attr(0).getString();
-    TreeRef Rest = escapeValue(Val->child(0));
-    TreeRef Kept = S.Trees.make(Sig, CtorVal, {Val->attr(0)}, {Rest});
+    const TreeRef Rest[] = {escapeValue(Val->child(0))};
+    const TreeRef Kept[] = {S.Trees.make(Sig, CtorVal, Val->attrs(), Rest)};
     if (C == "'" || C == "\"")
-      return S.Trees.make(Sig, CtorVal, {Value::string("\\")}, {Kept});
-    return Kept;
+      return S.Trees.make(Sig, CtorVal, Backslash, Kept);
+    return Kept[0];
   }
 
   Session &S;
   const SignatureRef &Sig;
+  const Value Backslash[1] = {Value::string("\\")};
 };
 
 } // namespace

@@ -50,11 +50,13 @@ Sanitizer buildSanitizer(Session &S, bool FixBug = true);
 
 /// Parses (a pragmatic subset of) HTML into the HtmlE encoding: elements
 /// with attributes, text, self-closing and void tags, comments skipped.
-/// Returns nullptr and fills \p Error on malformed input.
+/// Any nesting depth and sibling count parses without recursion.  Returns
+/// nullptr and fills \p Error on malformed input (nodes interned before
+/// the error stay in the session's factory).
 TreeRef parseHtml(Session &S, const SignatureRef &Sig, const std::string &Html,
                   std::string &Error);
 
-/// Renders an HtmlE tree back to HTML text.
+/// Renders an HtmlE tree back to HTML text, without recursion.
 std::string renderHtml(TreeRef Doc);
 
 /// Generates a deterministic synthetic HTML page of roughly \p TargetBytes

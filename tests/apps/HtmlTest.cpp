@@ -59,6 +59,34 @@ TEST(HtmlCodecTest, CommentsAndVoidTags) {
   EXPECT_EQ(Doc->attr(0).getString(), "p");
 }
 
+/// Parses \p Html, which must encode a tree at least \p MinDepth deep, and
+/// checks that rendering reproduces it.
+void expectRoundTrip(const std::string &Html, unsigned MinDepth) {
+  Session S;
+  std::string Error;
+  TreeRef Doc = parseHtml(S, htmlSignature(), Html, Error);
+  ASSERT_NE(Doc, nullptr) << Error;
+  EXPECT_GE(Doc->depth(), MinDepth);
+  EXPECT_EQ(renderHtml(Doc), Html);
+}
+
+TEST(HtmlCodecTest, LongSiblingListRoundTrips) {
+  // Each sibling is the next child of the one before in HtmlE.
+  std::string Html;
+  for (int I = 0; I < 50000; ++I)
+    Html += "<p>x</p>";
+  expectRoundTrip(Html, 50000);
+}
+
+TEST(HtmlCodecTest, DeepNestingRoundTrips) {
+  std::string Html;
+  for (int I = 0; I < 50000; ++I)
+    Html += "<div>";
+  for (int I = 0; I < 50000; ++I)
+    Html += "</div>";
+  expectRoundTrip(Html, 50000);
+}
+
 TEST(HtmlGenTest, PagesHitTargetSizesDeterministically) {
   Session S;
   SignatureRef Sig = htmlSignature();
