@@ -28,6 +28,13 @@ int64_t euclideanMod(int64_t A, int64_t B) {
   return A - euclideanDiv(A, B) * B;
 }
 
+/// The byte of a one-byte label, or -1.  Only called where the program has
+/// chain tables, whose signature has one attribute, of sort String.
+int oneByte(TreeRef Node) {
+  const std::string &Label = Node->attr(0).getString();
+  return Label.size() == 1 ? static_cast<unsigned char>(Label[0]) : -1;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -47,10 +54,14 @@ SttrRunResult Vm::run(uint32_t State, TreeRef Input) {
   assert(State < P->NumStates && "state outside the compiled program");
   Arena.reset();
   RunMemo.clear();
-  // Presize the memo tables for roughly one entry per input node (the
-  // expanded tree size over-approximates the distinct-node count, so cap
-  // the hint to keep degenerate DAG inputs from reserving gigabytes).
-  size_t Hint = std::min<size_t>(Input->size(), size_t(1) << 20);
+  // Presize the memo tables for what one run inserts: roughly one entry
+  // per input node, but only a chain's head when chain tables run the
+  // rest (HtmlE pages: 0.10 run and 0.14 lookahead entries per node).
+  // The expanded tree size over-approximates the distinct-node count, so
+  // cap the hint to keep degenerate DAG inputs from reserving gigabytes.
+  const bool HasChains = !P->Chains.empty() || !P->LaChains.empty();
+  size_t Hint = std::min<size_t>(Input->size() / (HasChains ? 7 : 1),
+                                 size_t(1) << 20);
   RunMemo.reserve(Hint);
   if (P->NumLaStates > 0)
     LaMemo.reserve(Hint);
@@ -72,6 +83,14 @@ int32_t Vm::evalState(uint32_t State, TreeRef Node) {
     return Cached;
   }
   assert(Node->ctorId() < P->NumCtors && "input outside the signature");
+  const ChainTable *Chain = P->chain(State, Node->ctorId());
+  int32_t Result = Chain && oneByte(Node) >= 0 ? evalChain(*Chain, Node)
+                                               : evalRules(State, Node);
+  RunMemo.insert(State, Node, Result);
+  return Result;
+}
+
+int32_t Vm::evalRules(uint32_t State, TreeRef Node) {
   int32_t Result = kFailResult;
   DagRef Ref = P->entry(State, Node->ctorId());
   while (Ref >= 0) {
@@ -91,8 +110,65 @@ int32_t Vm::evalState(uint32_t State, TreeRef Node) {
       break;
     }
   }
-  RunMemo.insert(State, Node, Result);
   return Result;
+}
+
+int32_t Vm::evalChain(const ChainTable &Chain, TreeRef Head) {
+  const size_t Base = Walk.size();
+  TreeRef Node = Head;
+  for (int B; Node->ctorId() == Chain.Ctor && (B = oneByte(Node)) >= 0;
+       Node = Node->child(0)) {
+    if (Chain.Steps[B] == kChainFail) {
+      Walk.resize(Base);
+      return kFailResult;
+    }
+    Walk.emplace_back(Node, Chain.Steps[B]);
+  }
+  int32_t Tail = evalState(Chain.State, Node);
+  if (Tail < 0) {
+    Walk.resize(Base);
+    return kFailResult;
+  }
+  // Build from the back.  While the output so far is the input suffix
+  // itself (Reuse), identity steps build nothing; the first other step
+  // stands for that suffix with one ref node.
+  bool Reuse = isTree(static_cast<uint32_t>(Tail), Node);
+  uint32_t Out = static_cast<uint32_t>(Tail);
+  for (size_t I = Walk.size(); I-- > Base;) {
+    auto [In, Step] = Walk[I];
+    if (Reuse) {
+      if (Step == kChainIdentity)
+        continue;
+      Reuse = false;
+      Out = Arena.addRef(In->child(0));
+    }
+    const VmValue Input = VmValue::string(&In->attr(0).getString());
+    if (Step == kChainIdentity) {
+      Out = Arena.addNode(Chain.Ctor, 1, 1, &Input, &Out);
+      continue;
+    }
+    const ChainPrefix &Prefix = P->ChainPrefixes[Step];
+    for (uint32_t K = Prefix.Count; K-- > 0;) {
+      int32_t L = P->ChainLabels[Prefix.First + K];
+      Out = Arena.addNode(Chain.Ctor, 1, 1,
+                          L == kInputLabel ? &Input : &ConstVals[L], &Out);
+    }
+  }
+  Walk.resize(Base);
+  return static_cast<int32_t>(Reuse ? Arena.addRef(Head) : Out);
+}
+
+bool Vm::isTree(uint32_t Id, TreeRef Tree) const {
+  const VmArena::Node &N = Arena.node(Id);
+  if (TreeRef R = Arena.ref(N))
+    return R == Tree;
+  if (N.Rank != 0 || N.Ctor != Tree->ctorId())
+    return false;
+  const VmValue *Attrs = Arena.attrs(N);
+  for (unsigned I = 0; I < N.NumAttrs; ++I)
+    if (!(Attrs[I] == VmValue::borrow(Tree->attr(I))))
+      return false;
+  return true;
 }
 
 bool Vm::laPasses(const Candidate &Cand, TreeRef Node) {
@@ -115,6 +191,24 @@ bool Vm::evalLa(uint32_t LaState, TreeRef Node) {
     ++C.MemoHits;
     return Cached != 0;
   }
+  const LaChainTable *Chain = P->laChain(LaState, Node->ctorId());
+  bool Accepted = Chain && oneByte(Node) >= 0 ? evalLaChain(*Chain, Node)
+                                              : evalLaRules(LaState, Node);
+  LaMemo.insert(LaState, Node, Accepted ? 1 : 0);
+  return Accepted;
+}
+
+bool Vm::evalLaChain(const LaChainTable &Chain, TreeRef Node) {
+  for (int B; Node->ctorId() == Chain.Ctor && (B = oneByte(Node)) >= 0;
+       Node = Node->child(0)) {
+    ++C.LookaheadChecks;
+    if (!Chain.Accepts[B])
+      return false;
+  }
+  return evalLa(Chain.State, Node);
+}
+
+bool Vm::evalLaRules(uint32_t LaState, TreeRef Node) {
   bool Accepted = false;
   const LaEntry &E = P->laEntry(LaState, Node->ctorId());
   const uint32_t Rank = Node->rank();
@@ -135,7 +229,6 @@ bool Vm::evalLa(uint32_t LaState, TreeRef Node) {
         }
     }
   }
-  LaMemo.insert(LaState, Node, Accepted ? 1 : 0);
   return Accepted;
 }
 
@@ -161,6 +254,10 @@ TreeRef Vm::intern(uint32_t Root) {
     if (!Reached[Id])
       continue;
     const VmArena::Node &N = Arena.node(Id);
+    if (TreeRef Ref = Arena.ref(N)) {
+      InternMemo[Id] = Ref;
+      continue;
+    }
     const uint32_t *Kids = Arena.children(N);
     ChildBuf.clear();
     for (unsigned I = 0; I < N.Rank; ++I)

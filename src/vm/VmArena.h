@@ -15,6 +15,11 @@
 /// so arena node ids are meaningful only within one run, and nothing
 /// outside the Vm may retain them.
 ///
+/// An arena id can also name an already interned tree: a *ref* node holds
+/// a TreeRef, and the intern pass maps it to that tree without calling
+/// TreeFactory::make.  The chain loop uses refs to share the unchanged
+/// tail of an input character chain with its output (DESIGN.md §7).
+///
 /// VmValue is the unboxed counterpart of smt::Value: strings are borrowed
 /// pointers into storage that outlives the run (the program's constant
 /// pool or the input tree's attribute tuples — the label theory has no
@@ -26,6 +31,7 @@
 #define FAST_VM_VMARENA_H
 
 #include "smt/Value.h"
+#include "trees/Tree.h"
 
 #include <cassert>
 #include <cstdint>
@@ -125,6 +131,9 @@ struct VmValue {
 /// run-local.
 class VmArena {
 public:
+  /// Ctor of a ref node, whose AttrOff indexes the ref pool.
+  static constexpr uint32_t kRefCtor = UINT32_MAX;
+
   struct Node {
     uint32_t Ctor;
     uint32_t AttrOff;
@@ -133,25 +142,39 @@ public:
     uint16_t NumAttrs;
   };
 
-  /// Appends a node whose attributes/children are the top \p NumAttrs /
-  /// \p Rank entries of the given stacks (deepest first); pops both.
+  /// Appends a node with the given attributes and children (arena ids).
   uint32_t addNode(uint32_t Ctor, uint16_t Rank, uint16_t NumAttrs,
-                   std::vector<VmValue> &ValStack,
-                   std::vector<uint32_t> &NodeStack) {
-    assert(ValStack.size() >= NumAttrs && NodeStack.size() >= Rank);
+                   const VmValue *Attrs, const uint32_t *Kids) {
     Node N;
     N.Ctor = Ctor;
     N.Rank = Rank;
     N.NumAttrs = NumAttrs;
     N.AttrOff = static_cast<uint32_t>(AttrPool.size());
     N.ChildOff = static_cast<uint32_t>(ChildPool.size());
-    AttrPool.insert(AttrPool.end(), ValStack.end() - NumAttrs,
-                    ValStack.end());
-    ChildPool.insert(ChildPool.end(), NodeStack.end() - Rank,
-                     NodeStack.end());
+    AttrPool.insert(AttrPool.end(), Attrs, Attrs + NumAttrs);
+    ChildPool.insert(ChildPool.end(), Kids, Kids + Rank);
+    Nodes.push_back(N);
+    return static_cast<uint32_t>(Nodes.size() - 1);
+  }
+
+  /// Appends a node whose attributes/children are the top \p NumAttrs /
+  /// \p Rank entries of the given stacks (deepest first); pops both.
+  uint32_t addNode(uint32_t Ctor, uint16_t Rank, uint16_t NumAttrs,
+                   std::vector<VmValue> &ValStack,
+                   std::vector<uint32_t> &NodeStack) {
+    assert(ValStack.size() >= NumAttrs && NodeStack.size() >= Rank);
+    uint32_t Id = addNode(Ctor, Rank, NumAttrs,
+                          ValStack.data() + (ValStack.size() - NumAttrs),
+                          NodeStack.data() + (NodeStack.size() - Rank));
     ValStack.resize(ValStack.size() - NumAttrs);
     NodeStack.resize(NodeStack.size() - Rank);
-    Nodes.push_back(N);
+    return Id;
+  }
+
+  /// Appends a ref node standing for the interned tree \p T.
+  uint32_t addRef(TreeRef T) {
+    Nodes.push_back({kRefCtor, static_cast<uint32_t>(Refs.size()), 0, 0, 0});
+    Refs.push_back(T);
     return static_cast<uint32_t>(Nodes.size() - 1);
   }
 
@@ -159,6 +182,10 @@ public:
   const VmValue *attrs(const Node &N) const { return AttrPool.data() + N.AttrOff; }
   const uint32_t *children(const Node &N) const {
     return ChildPool.data() + N.ChildOff;
+  }
+  /// The tree a ref node names, or null for an ordinary node.
+  TreeRef ref(const Node &N) const {
+    return N.Ctor == kRefCtor ? Refs[N.AttrOff] : nullptr;
   }
   size_t numNodes() const { return Nodes.size(); }
 
@@ -168,12 +195,14 @@ public:
     Nodes.clear();
     AttrPool.clear();
     ChildPool.clear();
+    Refs.clear();
   }
 
 private:
   std::vector<Node> Nodes;
   std::vector<VmValue> AttrPool;
   std::vector<uint32_t> ChildPool;
+  std::vector<TreeRef> Refs;
 };
 
 } // namespace fast::vm

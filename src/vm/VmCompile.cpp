@@ -8,6 +8,7 @@
 #include <chrono>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -135,6 +136,7 @@ public:
     for (uint32_t State = 0; State < P->NumStates; ++State)
       for (uint32_t Ctor = 0; Ctor < P->NumCtors; ++Ctor)
         P->Entry[State * P->NumCtors + Ctor] = compileGroup(State, Ctor);
+    compileChains();
     // Keep the lookahead STA alive as long as the program (guards and
     // outputs live in the session factories and never die; the STA is
     // the one piece owned by the source transducer).
@@ -531,12 +533,159 @@ private:
         N.IfTrue = IfTrue;
         N.IfFalse = IfFalse;
         P->Dag.push_back(N);
+        DagGuards.push_back(Split.Guards[Test]);
         Ref = static_cast<DagRef>(P->Dag.size() - 1);
       }
       NodeMemo.emplace(Alive, Ref);
       return Ref;
     };
     return Build(Build, All);
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Chain tables
+  //===--------------------------------------------------------------------===//
+
+  /// Whether evaluating \p E may divide by zero.  A table evaluates its
+  /// guards on every byte, including bytes no input ever carries, so such
+  /// guards keep their state off the chain path.
+  bool mayTrap(TermRef E) {
+    auto [It, New] = TrapMemo.try_emplace(E, false);
+    if (!New)
+      return It->second;
+    bool Trap = E->kind() == TermKind::Mod || E->kind() == TermKind::Div;
+    for (TermRef Op : E->operands())
+      Trap = Trap || mayTrap(Op);
+    TrapMemo[E] = Trap;
+    return Trap;
+  }
+
+  static Value byteLabel(unsigned B) {
+    return Value::string(std::string(1, static_cast<char>(B)));
+  }
+
+  /// Chain states exist only over one String attribute (HtmlE's tag), so
+  /// that a node is its constructor, its label and its child.
+  void compileChains() {
+    if (Sig->numAttrs() != 1 || Sig->attrSpec(0).TheSort != Sort::String)
+      return;
+    for (uint32_t Ctor = 0; Ctor < P->NumCtors; ++Ctor) {
+      if (Sig->rank(Ctor) != 1)
+        continue;
+      for (uint32_t State = 0; State < P->NumStates; ++State)
+        compileChain(State, Ctor);
+      for (uint32_t State = 0; State < P->NumLaStates; ++State)
+        compileLaChain(State, Ctor);
+    }
+  }
+
+  /// The labels of the Ctor nodes \p Out wraps around State(x1), outermost
+  /// first, or nullopt when Out has another shape.
+  std::optional<std::vector<int32_t>> chainPrefix(OutputRef Out,
+                                                  uint32_t State,
+                                                  uint32_t Ctor) {
+    std::vector<int32_t> Labels;
+    for (; !Out->isState(); Out = Out->children()[0]) {
+      if (Out->ctorId() != Ctor)
+        return std::nullopt;
+      TermRef L = Out->labelExprs()[0];
+      if (L->kind() == TermKind::Attr)
+        Labels.push_back(kInputLabel);
+      else if (L->kind() == TermKind::ConstValue && L->sort() == Sort::String)
+        Labels.push_back(static_cast<int32_t>(constId(L)));
+      else
+        return std::nullopt;
+    }
+    if (Out->state() != State || Out->childIndex() != 0)
+      return std::nullopt;
+    return Labels;
+  }
+
+  /// The rule whose body the compiled (State, Ctor) dispatch runs on a
+  /// node labelled \p Label, or -1 when it fails.
+  int32_t dispatchedRule(DagRef Ref, std::span<const Value> Label) {
+    while (Ref >= 0)
+      Ref = evalPredicate(DagGuards[Ref], Label) ? P->Dag[Ref].IfTrue
+                                                 : P->Dag[Ref].IfFalse;
+    if (Ref == kFailRef)
+      return -1;
+    const Candidate &First = P->Cands[P->Leaves[leafIndex(Ref)].FirstCand];
+    assert(First.LaFirst < 0 && "chain rules carry no lookahead");
+    return static_cast<int32_t>(First.Rule);
+  }
+
+  void compileChain(uint32_t State, uint32_t Ctor) {
+    const std::vector<unsigned> &Rules = T.rulesFrom(State, Ctor);
+    if (Rules.empty())
+      return;
+    std::unordered_map<unsigned, std::vector<int32_t>> Prefixes;
+    for (unsigned Index : Rules) {
+      const SttrRule &R = T.rule(Index);
+      if (!R.Lookahead[0].empty() || mayTrap(R.Guard))
+        return;
+      std::optional<std::vector<int32_t>> Labels =
+          chainPrefix(R.Out, State, Ctor);
+      if (!Labels)
+        return;
+      Prefixes.emplace(Index, std::move(*Labels));
+    }
+    ChainTable Tab;
+    Tab.State = State;
+    Tab.Ctor = Ctor;
+    for (unsigned B = 0; B < 256; ++B) {
+      const Value Label[] = {byteLabel(B)};
+      int32_t Rule = dispatchedRule(P->entry(State, Ctor), Label);
+      if (Rule < 0) {
+        Tab.Steps[B] = kChainFail;
+        continue;
+      }
+      const std::vector<int32_t> &Labels = Prefixes.at(Rule);
+      if (Labels.size() == 1 &&
+          (Labels[0] == kInputLabel || P->Consts[Labels[0]] == Label[0])) {
+        Tab.Steps[B] = kChainIdentity;
+        continue;
+      }
+      auto [It, New] = PrefixMemo.try_emplace(
+          Labels, static_cast<int32_t>(P->ChainPrefixes.size()));
+      if (New) {
+        P->ChainPrefixes.push_back(
+            {static_cast<uint32_t>(P->ChainLabels.size()),
+             static_cast<uint32_t>(Labels.size())});
+        P->ChainLabels.insert(P->ChainLabels.end(), Labels.begin(),
+                              Labels.end());
+      }
+      Tab.Steps[B] = It->second;
+    }
+    if (P->ChainOf.empty())
+      P->ChainOf.assign(size_t(P->NumStates) * P->NumCtors, -1);
+    P->ChainOf[State * P->NumCtors + Ctor] =
+        static_cast<int32_t>(P->Chains.size());
+    P->Chains.push_back(Tab);
+  }
+
+  void compileLaChain(uint32_t State, uint32_t Ctor) {
+    const Sta &La = T.lookahead();
+    const std::vector<unsigned> &Rules = La.rulesFrom(State, Ctor);
+    if (Rules.empty())
+      return;
+    for (unsigned Index : Rules) {
+      const StaRule &R = La.rule(Index);
+      if (R.Lookahead[0] != StateSet{State} || mayTrap(R.Guard))
+        return;
+    }
+    LaChainTable Tab;
+    Tab.State = State;
+    Tab.Ctor = Ctor;
+    for (unsigned B = 0; B < 256; ++B) {
+      const Value Label[] = {byteLabel(B)};
+      for (unsigned Index : Rules)
+        Tab.Accepts[B] |= evalPredicate(La.rule(Index).Guard, Label);
+    }
+    if (P->LaChainOf.empty())
+      P->LaChainOf.assign(size_t(P->NumLaStates) * P->NumCtors, -1);
+    P->LaChainOf[State * P->NumCtors + Ctor] =
+        static_cast<int32_t>(P->LaChains.size());
+    P->LaChains.push_back(Tab);
   }
 
   /// A region whose enabled rules have distinct outputs stays eligible
@@ -568,6 +717,10 @@ private:
   std::unordered_map<OutputRef, uint32_t> SpanMemo;
   std::map<std::vector<uint32_t>, int32_t> LaSetMemo;
   std::map<LeafKey, uint32_t> LeafMemo;
+  /// The guard each P->Dag node tests, by index.
+  std::vector<TermRef> DagGuards;
+  std::unordered_map<TermRef, bool> TrapMemo;
+  std::map<std::vector<int32_t>, int32_t> PrefixMemo;
 };
 
 } // namespace
@@ -623,7 +776,8 @@ std::string VmProgram::disassemble() const {
       << NumLaStates << " dag " << Dag.size() << " leaves " << Leaves.size()
       << " cands " << Cands.size() << " code " << Code.size() << " consts "
       << Consts.size() << " la-sets " << LaSetPool.size() << " la-rules "
-      << LaRules.size() << "\n";
+      << LaRules.size() << " chains " << Chains.size() << " chain-prefixes "
+      << ChainPrefixes.size() << " la-chains " << LaChains.size() << "\n";
   for (size_t I = 0; I < Consts.size(); ++I)
     Out << "const " << I << " " << Consts[I].str() << "\n";
   for (size_t I = 0; I < LaSetPool.size(); ++I) {
@@ -685,6 +839,49 @@ std::string VmProgram::disassemble() const {
         Out << "\n";
       }
     }
+  // Chain tables as runs of equal entries: "FROM-TO:KIND" (or "B:KIND").
+  auto PrintRuns = [&](auto Kind) {
+    Out << " bytes";
+    for (unsigned B = 0; B < 256;) {
+      unsigned End = B;
+      while (End + 1 < 256 && Kind(End + 1) == Kind(B))
+        ++End;
+      Out << " " << B;
+      if (End != B)
+        Out << "-" << End;
+      Out << ":" << Kind(B);
+      B = End + 1;
+    }
+    Out << "\n";
+  };
+  for (size_t I = 0; I < ChainPrefixes.size(); ++I) {
+    Out << "chain-prefix " << I << ":";
+    for (uint32_t K = 0; K < ChainPrefixes[I].Count; ++K) {
+      int32_t L = ChainLabels[ChainPrefixes[I].First + K];
+      if (L == kInputLabel)
+        Out << " label";
+      else
+        Out << " const " << L;
+    }
+    Out << "\n";
+  }
+  for (size_t I = 0; I < Chains.size(); ++I) {
+    const ChainTable &C = Chains[I];
+    Out << "chain " << I << ": state " << C.State << " ctor " << C.Ctor;
+    PrintRuns([&](unsigned B) {
+      int32_t Step = C.Steps[B];
+      return Step == kChainFail       ? std::string("fail")
+             : Step == kChainIdentity ? std::string("id")
+                                      : "p" + std::to_string(Step);
+    });
+  }
+  for (size_t I = 0; I < LaChains.size(); ++I) {
+    const LaChainTable &C = LaChains[I];
+    Out << "la-chain " << I << ": state " << C.State << " ctor " << C.Ctor;
+    PrintRuns([&](unsigned B) {
+      return std::string(C.Accepts[B] ? "accept" : "reject");
+    });
+  }
   Out << "code:\n";
   for (size_t I = 0; I < Code.size(); ++I) {
     const Instr &Ins = Code[I];

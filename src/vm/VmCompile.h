@@ -24,6 +24,13 @@
 ///     code stream; membership is evaluated concretely and memoized per
 ///     (lookahead state, node), still solver-free.
 ///   - constants: the literal pool referenced by PushConst.
+///   - chains: 256-entry byte tables for the *chain states* of a program
+///     over a one-String-attribute signature (HtmlE's character chains).
+///     A transduction chain state maps each one-byte label to the fixed
+///     prefix its rule wraps around the recursive call (or to fail), and
+///     a lookahead chain state to accept/reject; the Vm runs them as
+///     loops (DESIGN.md §7).  Every table entry is the guard DAG's
+///     verdict on that byte, evaluated once here, so tables are exact.
 ///
 /// Eligibility (checked at compile time; the solver is consulted here and
 /// never at run time): every guard and label expression must be concretely
@@ -45,6 +52,7 @@
 #include "transducers/Session.h"
 #include "transducers/Sttr.h"
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -148,6 +156,40 @@ struct LaEntry {
   uint32_t Count = 0;
 };
 
+/// Chain-table entries: fail, identity (`u[label](·)`: the output node
+/// is the input node), or an index into VmProgram::ChainPrefixes.
+inline constexpr int32_t kChainFail = -1;
+inline constexpr int32_t kChainIdentity = -2;
+/// A prefix label read from the input node rather than the constant pool.
+inline constexpr int32_t kInputLabel = -1;
+
+/// The output prefix of one chain rule: Count labels in ChainLabels from
+/// First, outermost first, each a constant id or kInputLabel.  Zero labels
+/// drop the character.
+struct ChainPrefix {
+  uint32_t First = 0;
+  uint32_t Count = 0;
+};
+
+/// Transduction state State on unary constructor Ctor as a byte table:
+/// every (State, Ctor) rule has no lookahead and outputs State(x1) inside
+/// a fixed prefix of Ctor nodes.
+struct ChainTable {
+  uint32_t State = 0;
+  uint32_t Ctor = 0;
+  /// Per byte of a one-byte label: kChainFail, kChainIdentity or a prefix.
+  std::array<int32_t, 256> Steps{};
+};
+
+/// Lookahead state State on unary constructor Ctor: every (State, Ctor)
+/// rule constrains x1 by exactly {State}, so a chain is accepted iff each
+/// of its bytes is and so is the node after it.
+struct LaChainTable {
+  uint32_t State = 0;
+  uint32_t Ctor = 0;
+  std::array<bool, 256> Accepts{};
+};
+
 /// An immutable compiled program.  Shareable across threads (the Vm keeps
 /// all mutable state); keeps the source transducer's lookahead STA alive
 /// so the program never outlives the structures its key hashed.
@@ -179,11 +221,33 @@ struct VmProgram {
   std::vector<Instr> Code;
   std::vector<Value> Consts;
 
+  std::vector<ChainTable> Chains;
+  std::vector<ChainPrefix> ChainPrefixes;
+  std::vector<int32_t> ChainLabels;
+  std::vector<LaChainTable> LaChains;
+  /// NumStates x NumCtors (resp. NumLaStates x NumCtors) indices into
+  /// Chains (resp. LaChains), -1 where the pair is no chain state; empty
+  /// when the program has none.
+  std::vector<int32_t> ChainOf;
+  std::vector<int32_t> LaChainOf;
+
   DagRef entry(uint32_t State, uint32_t Ctor) const {
     return Entry[State * NumCtors + Ctor];
   }
   const LaEntry &laEntry(uint32_t LaState, uint32_t Ctor) const {
     return LaEntries[LaState * NumCtors + Ctor];
+  }
+  const ChainTable *chain(uint32_t State, uint32_t Ctor) const {
+    if (ChainOf.empty())
+      return nullptr;
+    int32_t I = ChainOf[State * NumCtors + Ctor];
+    return I < 0 ? nullptr : &Chains[I];
+  }
+  const LaChainTable *laChain(uint32_t LaState, uint32_t Ctor) const {
+    if (LaChainOf.empty())
+      return nullptr;
+    int32_t I = LaChainOf[LaState * NumCtors + Ctor];
+    return I < 0 ? nullptr : &LaChains[I];
   }
 
   /// Parseable listing consumed by tools/vm_check and `fastc --emit=vm`.

@@ -217,6 +217,53 @@ TEST(SanitizerTest, StringLevelApi) {
   EXPECT_FALSE(Error.empty());
 }
 
+/// \p Bytes letters and spaces with a quote every 11 bytes; \p Quotes are
+/// used in turn.
+std::string quotedText(size_t Bytes, const std::string &Quotes) {
+  std::string Text;
+  Text.reserve(Bytes);
+  for (size_t I = 0; I < Bytes; ++I)
+    Text += I % 11 == 10 ? Quotes[(I / 11) % Quotes.size()]
+                         : " abcdefghij"[I % 11];
+  return Text;
+}
+
+/// What the sanitizer makes of a character chain: \ before ' and ".
+std::string escapedQuotes(const std::string &Text) {
+  std::string Out;
+  Out.reserve(Text.size() + Text.size() / 10);
+  for (char C : Text) {
+    if (C == '\'' || C == '"')
+      Out += '\\';
+    Out += C;
+  }
+  return Out;
+}
+
+// Text and attribute values are character chains as long as the string;
+// the VM runs them as loops, so no length exhausts the (default) stack.
+TEST(SanitizerTest, LongTextRunSanitizes) {
+  Session S;
+  Sanitizer Sani = buildSanitizer(S);
+  const std::string Text = quotedText(1000000, "'\"");
+  std::string Error;
+  std::optional<std::string> Out =
+      sanitizeHtmlString(S, Sani, "<p>" + Text + "</p>", Error);
+  ASSERT_TRUE(Out.has_value()) << Error;
+  EXPECT_TRUE(*Out == "<p>" + escapedQuotes(Text) + "</p>");
+}
+
+TEST(SanitizerTest, LongAttributeValueSanitizes) {
+  Session S;
+  Sanitizer Sani = buildSanitizer(S);
+  const std::string Value = quotedText(1000000, "'");
+  std::string Error;
+  std::optional<std::string> Out = sanitizeHtmlString(
+      S, Sani, "<p title=\"" + Value + "\"></p>", Error);
+  ASSERT_TRUE(Out.has_value()) << Error;
+  EXPECT_TRUE(*Out == "<p title=\"" + escapedQuotes(Value) + "\"></p>");
+}
+
 TEST(SanitizerTest, FixedSanitizerTypeChecks) {
   Session S;
   Sanitizer Fixed = buildSanitizer(S, /*FixBug=*/true);

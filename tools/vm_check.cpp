@@ -13,7 +13,10 @@
 //     guard chunks terminate in end_expr with exactly one value, body
 //     chunks terminate in return with exactly one node;
 //   - make_node ranks match the constructor table, eval_child states and
-//     push_const/push_attr/la-set indices are in bounds.
+//     push_const/push_attr/la-set indices are in bounds;
+//   - chain tables name in-range states of a one-attribute program on a
+//     unary constructor, cover bytes 0-255 exactly once with known entry
+//     kinds, and their prefixes use in-range constants of sort String.
 //
 // Non-program lines (assertion results, `vm ineligible` notes) are
 // skipped, so the raw fastc output can be piped in unfiltered.
@@ -30,8 +33,10 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace {
@@ -53,6 +58,14 @@ struct Cand {
 struct LaRule {
   long Guard = 0;
   std::vector<long> Sets;
+};
+
+/// A chain or la-chain table: its (state, ctor) and byte runs as
+/// (from, to, kind).
+struct ChainTable {
+  unsigned Line = 0;
+  long Index = 0, State = 0, Ctor = 0;
+  std::vector<std::tuple<long, long, std::string>> Runs;
 };
 
 struct Program {
@@ -80,6 +93,12 @@ struct Program {
   std::map<std::pair<long, long>, std::vector<LaRule>> LaEntries;
   std::vector<Instr> Code;
   long ConstCount = 0;
+  /// Per listed constant: whether it is a String (printed quoted).
+  std::vector<bool> ConstIsString;
+  long NChains = 0, NChainPrefixes = 0, NLaChains = 0;
+  /// Per chain prefix: constant ids, -1 for the input label.
+  std::vector<std::vector<long>> ChainPrefixes;
+  std::vector<ChainTable> Chains, LaChains;
 };
 
 class Checker {
@@ -99,6 +118,7 @@ public:
     checkLeaves();
     checkLookahead();
     checkChunks();
+    checkChains();
     return Errors;
   }
 
@@ -385,6 +405,71 @@ private:
                      std::to_string(Key.second) + " guard");
   }
 
+  //===------------------------------------------------------------------===//
+  // Chain tables.
+  //===------------------------------------------------------------------===//
+
+  void checkChains() {
+    if (static_cast<long>(P.Chains.size()) != P.NChains ||
+        static_cast<long>(P.ChainPrefixes.size()) != P.NChainPrefixes ||
+        static_cast<long>(P.LaChains.size()) != P.NLaChains)
+      error("header chain counts differ from the chain tables listed");
+    for (size_t I = 0; I < P.ChainPrefixes.size(); ++I)
+      for (long C : P.ChainPrefixes[I]) {
+        if (C == -1)
+          continue;
+        std::string Where = "chain-prefix " + std::to_string(I);
+        if (C < 0 || C >= static_cast<long>(P.ConstIsString.size()))
+          error(Where + ": constant " + std::to_string(C) + " out of bounds");
+        else if (!P.ConstIsString[C])
+          error(Where + ": constant " + std::to_string(C) +
+                " is not a String");
+      }
+    checkChainTables(P.Chains, P.States, "chain", [&](const std::string &K) {
+      if (K == "fail" || K == "id")
+        return true;
+      if (K.size() < 2 || K[0] != 'p')
+        return false;
+      long Prefix = std::strtol(K.c_str() + 1, nullptr, 10);
+      return Prefix >= 0 && Prefix < static_cast<long>(P.ChainPrefixes.size());
+    });
+    checkChainTables(P.LaChains, P.LaStates, "la-chain",
+                     [](const std::string &K) {
+                       return K == "accept" || K == "reject";
+                     });
+  }
+
+  template <typename KindOk>
+  void checkChainTables(const std::vector<ChainTable> &Tables, long NumStates,
+                        const char *What, KindOk Ok) {
+    std::set<std::pair<long, long>> Seen;
+    for (const ChainTable &T : Tables) {
+      std::string Where = std::string(What) + " " + std::to_string(T.Index) +
+                          " (line " + std::to_string(T.Line) + ")";
+      if (P.Attrs != 1)
+        error(Where + ": chain tables need exactly one attribute");
+      if (T.State < 0 || T.State >= NumStates)
+        error(Where + ": state " + std::to_string(T.State) + " out of range");
+      if (T.Ctor < 0 || T.Ctor >= P.Ctors)
+        error(Where + ": ctor " + std::to_string(T.Ctor) + " out of range");
+      else if (P.CtorRank[T.Ctor] != 1)
+        error(Where + ": ctor " + std::to_string(T.Ctor) + " is not unary");
+      if (!Seen.emplace(T.State, T.Ctor).second)
+        error(Where + ": second table for the same state and ctor");
+      long Next = 0;
+      for (const auto &[From, To, Kind] : T.Runs) {
+        if (From != Next || To < From || To > 255)
+          break;
+        if (!Ok(Kind))
+          error(Where + ": unknown entry '" + Kind + "'");
+        Next = To + 1;
+      }
+      if (Next != 256)
+        error(Where + ": byte runs do not cover 0-255 in order from " +
+              std::to_string(Next));
+    }
+  }
+
   static Program::Ref parseRef(const std::string &Text) {
     Program::Ref R;
     std::istringstream In(Text);
@@ -417,6 +502,32 @@ std::map<std::string, long> keyedNumbers(std::istringstream &In) {
   while (In >> Key >> Val)
     Out[Key] = Val;
   return Out;
+}
+
+/// Parses "I: state S ctor C bytes FROM-TO:KIND ..." (FROM alone when the
+/// run is one byte).
+ChainTable chainTable(std::istringstream &In, unsigned Line) {
+  ChainTable T;
+  T.Line = Line;
+  std::string Key;
+  In >> T.Index >> Key;               // "I" ":"
+  In >> Key >> T.State >> Key >> T.Ctor >> Key; // state S ctor C bytes
+  std::string Run;
+  while (In >> Run) {
+    size_t Colon = Run.find(':');
+    if (Colon == std::string::npos) {
+      T.Runs.emplace_back(-1, -1, Run);
+      continue;
+    }
+    std::string Range = Run.substr(0, Colon);
+    size_t Dash = Range.find('-');
+    long From = std::strtol(Range.c_str(), nullptr, 10);
+    long To = Dash == std::string::npos
+                  ? From
+                  : std::strtol(Range.c_str() + Dash + 1, nullptr, 10);
+    T.Runs.emplace_back(From, To, Run.substr(Colon + 1));
+  }
+  return T;
 }
 
 /// Parses the "[ - 0 1 ]" / "[ ]" set-list syntax; returns ids with -1
@@ -458,6 +569,7 @@ int main(int Argc, char **Argv) {
   unsigned Errors = 0;
   unsigned ProgramsChecked = 0;
   unsigned ChunksChecked = 0;
+  unsigned ChainsChecked = 0;
   std::vector<std::string> Found;
   std::vector<std::string> Ineligible;
 
@@ -477,6 +589,8 @@ int main(int Argc, char **Argv) {
     ChunksChecked += static_cast<unsigned>(Cur->Dags.size()) +
                      static_cast<unsigned>(Cur->NCands) +
                      static_cast<unsigned>(Cur->NLaRules);
+    ChainsChecked += static_cast<unsigned>(Cur->Chains.size() +
+                                           Cur->LaChains.size());
     Found.push_back(Cur->Name);
     Cur.reset();
     OpenLeaf = nullptr;
@@ -540,8 +654,32 @@ int main(int Argc, char **Argv) {
       Cur->NConsts = KV["consts"];
       Cur->NLaSets = KV["la-sets"];
       Cur->NLaRules = KV["la-rules"];
+      Cur->NChains = KV["chains"];
+      Cur->NChainPrefixes = KV["chain-prefixes"];
+      Cur->NLaChains = KV["la-chains"];
     } else if (Tok == "const") {
       ++Cur->ConstCount;
+      long Idx;
+      std::string Value;
+      In >> Idx >> Value;
+      Cur->ConstIsString.push_back(!Value.empty() && Value[0] == '"');
+    } else if (Tok == "chain-prefix") {
+      std::string Key;
+      In >> Key; // "I:"
+      std::vector<long> Labels;
+      while (In >> Key) {
+        long C = -1;
+        if (Key == "const")
+          In >> C;
+        else if (Key != "label")
+          C = -2; // Neither a constant nor the input label.
+        Labels.push_back(C);
+      }
+      Cur->ChainPrefixes.push_back(std::move(Labels));
+    } else if (Tok == "chain") {
+      Cur->Chains.push_back(chainTable(In, LineNo));
+    } else if (Tok == "la-chain") {
+      Cur->LaChains.push_back(chainTable(In, LineNo));
     } else if (Tok == "la-set") {
       long Idx;
       In >> Idx;
@@ -684,6 +822,7 @@ int main(int Argc, char **Argv) {
   std::cout << "vm_check: " << ProgramsChecked << " program(s) OK, "
             << ChunksChecked
             << " code chunk(s) simulated (bounds, liveness, terminators), "
-            << "entry tables exhaustive, decision DAGs acyclic\n";
+            << "entry tables exhaustive, decision DAGs acyclic, "
+            << ChainsChecked << " chain table(s) in range\n";
   return 0;
 }
