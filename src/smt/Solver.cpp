@@ -89,20 +89,26 @@ struct Solver::Impl {
   /// context creates — never as a global parameter, which would leak into
   /// every other Solver of the process.
   unsigned TimeoutMs;
-  /// One long-lived solver; each query runs under push/pop, which is much
-  /// cheaper than constructing a fresh solver per query.
+  /// isSat's long-lived solver.  Each query runs under push/pop, which is
+  /// much cheaper than a fresh solver per query, so it holds no assertion
+  /// between queries; resetForReuse keeps it, because the first check on
+  /// a rebuilt solver costs milliseconds.
   std::unique_ptr<z3::solver> Sol;
+  /// getModel's solver, which resetForReuse drops, so a pooled context's
+  /// witnesses are those of a fresh context.
+  std::unique_ptr<z3::solver> ModelSol;
 
-  z3::solver &solver() {
-    if (!Sol) {
-      Sol = std::make_unique<z3::solver>(Ctx);
+  /// \p Slot's solver, built on first use.
+  z3::solver &solver(std::unique_ptr<z3::solver> &Slot) {
+    if (!Slot) {
+      Slot = std::make_unique<z3::solver>(Ctx);
       if (TimeoutMs != 0) {
         z3::params P(Ctx);
         P.set("timeout", TimeoutMs);
-        Sol->set(P);
+        Slot->set(P);
       }
     }
-    return *Sol;
+    return *Slot;
   }
 
   z3::sort z3Sort(Sort S) {
@@ -256,11 +262,12 @@ void Solver::resetForReuse() {
   ValidCache.clear();
   ImplCache.clear();
   // The Z3 context survives (creating one is the constant this reset
-  // exists to avoid paying per task); the solver object hanging off it
-  // is dropped and lazily rebuilt.
+  // exists to avoid paying per task), and so does isSat's solver, which
+  // is empty after every pop.  getModel's solver is dropped and lazily
+  // rebuilt.
   Z3->Memo.clear();
   Z3->MemoExprs.clear();
-  Z3->Sol.reset();
+  Z3->ModelSol.reset();
 }
 
 bool Solver::isSat(TermRef Pred) {
@@ -323,7 +330,7 @@ bool Solver::isSat(TermRef Pred) {
   double SpanStart = Trace && Trace->active() ? Trace->nowUs() : 0;
   try {
     z3::expr E = Z3->translate(Pred);
-    z3::solver &S = Z3->solver();
+    z3::solver &S = Z3->solver(Z3->Sol);
     S.push();
     S.add(E);
     ++Counters.CoreChecks;
@@ -491,7 +498,7 @@ std::optional<AttrModel> Solver::getModel(TermRef Pred) {
     };
     Collect(Collect, Pred);
     z3::expr E = Z3->translate(Pred);
-    z3::solver &S = Z3->solver();
+    z3::solver &S = Z3->solver(Z3->ModelSol);
     S.push();
     S.add(E);
     ++Counters.Z3ModelChecks;

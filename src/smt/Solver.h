@@ -145,13 +145,15 @@ public:
   const Stats &stats() const { return Counters; }
   void resetStats() { Counters = Stats(); }
 
-  /// Returns the solver to its just-constructed state while keeping the
-  /// (expensive-to-create) Z3 context: drops every sat/validity/
-  /// implication cache entry, the term-to-Z3 translation memo, and the
-  /// lazily built Z3 solver object.  The pooled worker-context reset path
-  /// calls this before its overlay term factory is reset, so no cache
-  /// survives that is keyed by about-to-dangle TermRefs.  Stats are left
-  /// alone (resetStats is separate).
+  /// Returns the solver to its just-constructed state while keeping what
+  /// is expensive to create: the Z3 context, and isSat's Z3 solver, which
+  /// holds no assertion between queries.  Drops every sat/validity/
+  /// implication cache entry, the term-to-Z3 translation memo, and
+  /// getModel's Z3 solver, so witnesses stay those of a fresh solver.  The
+  /// pooled worker-context reset path calls this before its overlay term
+  /// factory is reset, so no cache survives that is keyed by
+  /// about-to-dangle TermRefs.  Stats are left alone (resetStats is
+  /// separate).
   void resetForReuse();
   /// Join-point merge of a worker solver's counters into this solver's.
   void mergeStatsFrom(const Solver &Other) { Counters.mergeFrom(Other.Counters); }

@@ -59,8 +59,9 @@ void WorkerContext::reset() {
   // Restore *observational* freshness: the next task must compute exactly
   // what it would in a brand-new context — same query counts, same cache
   // hits, same term ids, same constructed automata — no matter which
-  // thread runs it or what ran before.  Only the Z3 context (the ~ms
-  // per-task constant pooling exists to kill) survives.
+  // thread runs it or what ran before.  Only the Z3 context and isSat's
+  // Z3 solver (the ~ms per-task constants pooling exists to kill)
+  // survive; that solver is empty between queries.
   //
   // Order matters: the solver's translation memo and the guard cache's
   // memos/trie are keyed by TermRefs into the overlay factory, so they

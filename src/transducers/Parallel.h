@@ -82,10 +82,11 @@ public:
   /// reuse contract is observational freshness: a task computes exactly
   /// what it would in a new context (same counters, same byte-identical
   /// products), no matter which thread runs it or what ran before.  Only
-  /// the Z3 *context* survives, which is the per-task construction
-  /// constant pooling exists to avoid.  Only valid for contexts without
-  /// a trace buffer (the runner never pools when tracing, because
-  /// buffered events are per-task state).
+  /// the Z3 *context* and isSat's Z3 solver (empty between queries)
+  /// survive, which are the per-task construction constants pooling
+  /// exists to avoid.  Only valid for contexts without a trace buffer
+  /// (the runner never pools when tracing, because buffered events are
+  /// per-task state).
   void reset();
 
   /// Merges this context's commutative state into the base session:

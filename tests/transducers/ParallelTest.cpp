@@ -153,7 +153,8 @@ std::string counterFingerprint(Session &S) {
   const Solver::Stats &Q = S.Solv.stats();
   Out << "solver:" << Q.Queries << "," << Q.SatAnswers << ","
       << Q.UnsatAnswers << "," << Q.FastPathAnswers << "," << Q.CoreChecks
-      << "," << Q.ScopedChecks;
+      << "," << Q.ScopedChecks << "," << Q.Z3Checks << ","
+      << Q.UnknownAnswers;
   return Out.str();
 }
 
@@ -183,7 +184,9 @@ TEST(ParallelRunnerTest, ConflictMatrixIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(Seq, J1);
   EXPECT_EQ(J1, J4);
   // Between parallel thread counts even the merged counters match: each
-  // pair ran in a fresh worker, so scheduling cannot change the work.
+  // pair ran in a fresh or reset worker, so scheduling cannot change the
+  // work.  The Z3 check and unknown-answer counts also show that a reset
+  // worker's warm Z3 solver answers as a fresh one does.
   EXPECT_EQ(J1Print, J4Print);
 }
 
