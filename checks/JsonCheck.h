@@ -11,8 +11,8 @@
 /// general-purpose JSON library — no streaming, no \uXXXX decoding beyond
 /// pass-through, numbers as double.
 ///
-/// Test support: part of the fast_checks library that tools/, tests/ and
-/// bench/ link; the production libraries never compile it.
+/// Test support: part of the fast_checks library that tools/ and tests/
+/// link; the production libraries never compile it.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The validation core behind tools/metrics_check, exposed as a library so
-/// every consumer of a metrics exposition — the standalone validator, the
-/// serve_check HTTP smoke client, and the concurrent-scrape test suite —
-/// applies the *same* invariants to the same grammar:
+/// every consumer of a metrics exposition — the standalone validator and
+/// the concurrent-flush test — applies the *same* invariants to the same
+/// grammar:
 ///
 ///   * Prometheus text v0.0.4 (`# HELP/# TYPE/# TIMING` comments and
 ///     `name{labels} value` sample lines) or the schema_version-1 JSON doc;
@@ -22,8 +22,8 @@
 ///   * (two documents) non-timing counters never decrease between
 ///     snapshots of the same process.
 ///
-/// Test support: part of the fast_checks library that tools/, tests/ and
-/// bench/ link; the production libraries never compile it.
+/// Test support: part of the fast_checks library that tools/ and tests/
+/// link; the production libraries never compile it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,7 +74,7 @@ bool loadPrometheus(std::istream &In, Document &Doc, std::string &Error);
 bool loadJson(std::istream &In, Document &Doc, std::string &Error);
 
 /// Parses \p Text in whichever format \p Json selects — the in-memory
-/// entry point for validating HTTP response bodies.
+/// entry point for validating a document already read into memory.
 bool loadText(const std::string &Text, bool Json, Document &Doc,
               std::string &Error);
 

@@ -6,8 +6,7 @@
 // Usage:  fastc [--dump] [--emit=vm] [--stats] [--stats-json]
 //               [--metrics=FILE] [--flight-recorder=FILE] [--max-states=N]
 //               [--trace=FILE] [--explain] [--report=FILE]
-//               [--progress[=MS]] [--export NAME] [--serve=PORT] [-j N]
-//               <program.fast>
+//               [--progress[=MS]] [--export NAME] [-j N] <program.fast>
 //   --dump         also print every compiled language automaton and
 //                  transformation (states, rules, guards).
 //   --emit=vm      lower every transformation through the compiled data
@@ -26,7 +25,12 @@
 //                  exit: FILE ending in ".json" gets the versioned JSON
 //                  document, anything else the Prometheus text exposition
 //                  (v0.0.4).  FAST_METRICS in the environment is the
-//                  flag-less equivalent.
+//                  flag-less equivalent.  With FAST_METRICS_INTERVAL_MS=MS
+//                  a flusher thread also rewrites FILE every MS
+//                  milliseconds while the program runs.  Every write goes
+//                  to FILE.tmp and is renamed over FILE, so a reader never
+//                  sees a partial document and a killed run never leaves
+//                  one.
 //   --flight-recorder=FILE
 //                  arm the always-on incident ring buffer (last ~64K
 //                  telemetry events; FAST_FLIGHT_RECORDER_EVENTS overrides
@@ -63,23 +67,6 @@
 //                  milliseconds (0 = every exploration step).
 //   --export NAME  print the named language/transformation as a
 //                  standalone, recompilable Fast program.
-//   --serve=PORT   serve the live introspection plane on
-//                  127.0.0.1:PORT while the program runs (0 = ephemeral;
-//                  the bound port is announced on stdout as
-//                  "fastc: serving on 127.0.0.1:PORT").  Endpoints:
-//                  /metrics[.json] (live scrape, ?delta=1 for the change
-//                  since the previous delta scrape), /healthz, /readyz
-//                  (503 until the session's shared tier freezes),
-//                  /statusz (HTML session report), /debug/slowqueries,
-//                  POST /debug/flightrecorder (non-destructive ring
-//                  snapshot), POST /debug/trace?start|stop.  After the
-//                  program completes fastc publishes the final status,
-//                  freezes the session, and stays alive serving until
-//                  SIGTERM/SIGINT, then exits with the program's exit
-//                  code.  FAST_SERVE=PORT is the environment equivalent;
-//                  FAST_SERVE_WARMUP_MS delays the program start so a
-//                  scraper can observe the not-ready phase
-//                  deterministically.
 //   -j N           evaluate assertions in parallel over N worker threads
 //                  (0 = one per hardware thread).  Declarations still
 //                  compile sequentially in program order, then the
@@ -90,18 +77,14 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "engine/AdminEndpoints.h"
+#include "engine/MetricsBridge.h"
 #include "fast/Explain.h"
 #include "fast/Export.h"
 #include "fast/Fast.h"
 #include "obs/Report.h"
-#include "transducers/Admin.h"
 #include "transducers/Parallel.h"
 #include "vm/Vm.h"
 
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -109,18 +92,8 @@
 #include <iostream>
 #include <sstream>
 #include <string_view>
-#include <thread>
 
 using namespace fast;
-
-namespace {
-
-// --serve lifecycle: SIGTERM/SIGINT end the post-run linger loop.
-volatile std::sig_atomic_t ServeStopRequested = 0;
-
-void onServeSignal(int) { ServeStopRequested = 1; }
-
-} // namespace
 
 int main(int Argc, char **Argv) {
   bool Dump = false;
@@ -136,7 +109,6 @@ int main(int Argc, char **Argv) {
   const char *MetricsPath = nullptr;
   const char *FlightRecorderPath = nullptr;
   long MaxStates = -1;
-  long ServePort = -1; // -1 = no admin server
   const char *Path = nullptr;
   long Jobs = -1; // -1 = sequential (no -j); 0 = one per hardware thread.
   bool Bad = false;
@@ -173,13 +145,6 @@ int main(int Argc, char **Argv) {
       if (End == Argv[I] + 13 || *End != '\0' || MaxStates <= 0)
         Bad = true;
     }
-    else if (std::strncmp(Argv[I], "--serve=", 8) == 0) {
-      char *End = nullptr;
-      ServePort = std::strtol(Argv[I] + 8, &End, 10);
-      if (End == Argv[I] + 8 || *End != '\0' || ServePort < 0 ||
-          ServePort > 65535)
-        Bad = true;
-    }
     else if (std::strcmp(Argv[I], "--export") == 0 && I + 1 < Argc)
       ExportName = Argv[++I];
     else if (std::strcmp(Argv[I], "-j") == 0 && I + 1 < Argc) {
@@ -199,7 +164,7 @@ int main(int Argc, char **Argv) {
                  "[--stats-json] [--metrics=FILE] [--flight-recorder=FILE] "
                  "[--max-states=N] [--trace=FILE] [--explain] "
                  "[--report=FILE] [--progress[=MS]] [--export NAME] "
-                 "[--serve=PORT] [-j N] <program.fast>\n";
+                 "[-j N] <program.fast>\n";
     return 2;
   }
   std::ifstream File(Path);
@@ -247,38 +212,15 @@ int main(int Argc, char **Argv) {
   if (!MetricsPath)
     if (const char *Env = std::getenv("FAST_METRICS"); Env && *Env)
       MetricsPath = Env;
-  if (ServePort < 0)
-    if (const char *Env = std::getenv("FAST_SERVE"); Env && *Env) {
-      char *End = nullptr;
-      long V = std::strtol(Env, &End, 10);
-      if (End != Env && *End == '\0' && V >= 0 && V <= 65535)
-        ServePort = V;
-    }
   if (MaxStates > 0)
     S.engine().Limits.MaxStates = static_cast<size_t>(MaxStates);
 
   engine::ProgramStats &Program = S.stats().program();
 
-  // The exit-time --metrics write goes through the flusher's atomic
-  // tmp+rename path so a reader racing the exit never sees a partial
-  // document.
-  auto WriteMetrics = [&]() -> bool {
-    if (!MetricsPath)
-      return true;
-    if (!engine::MetricsFileFlusher::flushOnce(S.engine(), MetricsPath)) {
-      std::cerr << "fastc: cannot open metrics file '" << MetricsPath
-                << "'\n";
-      return false;
-    }
-    return true;
-  };
-
-  FastProgramResult R;
-
   // --metrics + FAST_METRICS_INTERVAL_MS: refresh the metrics file on a
   // cadence while the program runs, so the on-disk exposition tracks a
-  // long run (and survives a forced abort mid-run).  Started before the
-  // admin server so the first flush precedes any serve warmup delay.
+  // long run (and survives a forced abort mid-run).  Its destructor stops
+  // the thread with a final flush on every exit path.
   engine::MetricsFileFlusher Flusher;
   if (MetricsPath)
     if (const char *Iv = std::getenv("FAST_METRICS_INTERVAL_MS"); Iv && *Iv) {
@@ -288,58 +230,26 @@ int main(int Argc, char **Argv) {
         Flusher.start(S.engine(), MetricsPath, static_cast<unsigned>(Ms));
     }
 
-  // --serve: bring the introspection plane up before the program starts,
-  // so a scraper can watch the whole run (and observe /readyz flip).
-  std::atomic<bool> ProgramRunning{false};
-  std::unique_ptr<SessionAdminServer> Admin;
-  if (ServePort >= 0) {
-    Admin = std::make_unique<SessionAdminServer>(
-        S, std::string("fastc: ") + Path);
-    Admin->setQuiescent([&ProgramRunning] { return !ProgramRunning.load(); });
-    Admin->setDecorator([&R, Path](obs::ReportBuilder &B) {
-      for (const AssertionOutcome &A : R.Assertions)
-        B.addAssertion(std::string(Path) + ":" + A.Loc.str(), A.Expected,
-                       A.passed(), A.Detail);
-    });
-    std::string Error;
-    if (!Admin->start(static_cast<uint16_t>(ServePort), &Error)) {
-      std::cerr << "fastc: cannot start admin server: " << Error << "\n";
-      return 2;
-    }
-    std::signal(SIGTERM, onServeSignal);
-    std::signal(SIGINT, onServeSignal);
-    std::cout << "fastc: serving on 127.0.0.1:" << Admin->port()
-              << std::endl;
-    // Optional pre-run delay so an external scraper can deterministically
-    // observe the not-ready phase (used by the serve.smoke test).
-    if (const char *W = std::getenv("FAST_SERVE_WARMUP_MS"); W && *W) {
-      long Ms = std::strtol(W, nullptr, 10);
-      for (long Waited = 0; Waited < Ms && !ServeStopRequested; Waited += 20)
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  }
-
-  // Every exit after this point runs the admin linger: once the program
-  // is done, freeze the shared tier (a -j run already did) so /readyz
-  // flips to 200, publish the final board, and keep serving until
-  // SIGTERM/SIGINT — then exit with the program's own code.
-  auto Finish = [&](int Code) -> int {
+  // The exit-time --metrics write goes through the flusher's atomic
+  // tmp+rename path so a reader racing the exit never sees a partial
+  // document.  The periodic flusher stops first: the two writers share
+  // FILE.tmp, and one's rename would carry off the other's file.
+  auto WriteMetrics = [&]() -> bool {
+    if (!MetricsPath)
+      return true;
     Flusher.stop();
-    if (!Admin)
-      return Code;
-    if (!S.frozen())
-      S.freeze();
-    Admin->publish();
-    while (!ServeStopRequested)
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    Admin->stop();
-    return Code;
+    if (!engine::MetricsFileFlusher::flushOnce(S.engine(), MetricsPath)) {
+      std::cerr << "fastc: cannot open metrics file '" << MetricsPath
+                << "'\n";
+      return false;
+    }
+    return true;
   };
 
+  FastProgramResult R;
   FastRunOptions RunOpts;
   if (Jobs >= 0)
     RunOpts.Threads = Jobs == 0 ? hardwareThreads() : static_cast<unsigned>(Jobs);
-  ProgramRunning.store(true);
   try {
     R = runFastProgram(S, Buffer.str(), RunOpts);
   } catch (const std::exception &E) {
@@ -349,15 +259,13 @@ int main(int Argc, char **Argv) {
     // dump-once semantics make this a fallback, not an overwrite.
     S.tracer().recorder().dumpIncident(std::string("uncaught exception: ") +
                                        E.what());
-    ProgramRunning.store(false);
     if (TracePath || ReportPath)
       S.tracer().closeTrace();
     ++Program.Runs;
     WriteMetrics();
     std::cerr << "fastc: " << E.what() << "\n";
-    return Finish(1);
+    return 1;
   }
-  ProgramRunning.store(false);
   ++Program.Runs;
   if (TracePath || ReportPath)
     S.tracer().closeTrace();
@@ -365,7 +273,7 @@ int main(int Argc, char **Argv) {
     std::cerr << R.DiagText;
   if (R.ErrorCount != 0) {
     WriteMetrics();
-    return Finish(1);
+    return 1;
   }
 
   if (ExportName) {
@@ -373,7 +281,7 @@ int main(int Argc, char **Argv) {
     if (It == R.Values.end()) {
       std::cerr << "fastc: no language or transformation named '"
                 << ExportName << "'\n";
-      return Finish(2);
+      return 2;
     }
     if (It->second.K == FastValue::Kind::Lang)
       std::cout << exportLanguageProgram(ExportName, It->second.Lang);
@@ -381,7 +289,7 @@ int main(int Argc, char **Argv) {
       std::cout << exportSttrProgram(ExportName, *It->second.Trans);
     else
       std::cout << It->second.Tree->str() << "\n";
-    return Finish(0);
+    return 0;
   }
 
   if (Dump) {
@@ -449,7 +357,7 @@ int main(int Argc, char **Argv) {
   if (StatsJson)
     std::cout << S.stats().json() << "\n";
   if (!WriteMetrics())
-    return Finish(2);
+    return 2;
 
   if (ReportPath) {
     obs::ReportBuilder Report;
@@ -471,9 +379,9 @@ int main(int Argc, char **Argv) {
     std::ofstream Out(ReportPath, std::ios::trunc);
     if (!Out) {
       std::cerr << "fastc: cannot open report file '" << ReportPath << "'\n";
-      return Finish(2);
+      return 2;
     }
     Out << Report.html();
   }
-  return Finish(Failed == 0 ? 0 : 1);
+  return Failed == 0 ? 0 : 1;
 }

@@ -8,6 +8,11 @@
 
 #include "engine/Engine.h"
 
+#include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <utility>
+
 using namespace fast;
 using namespace fast::engine;
 using obs::LatencyHistogram;
@@ -45,8 +50,9 @@ void fast::engine::collectSessionMetrics(const SessionEngine &Eng,
   // --- fast_engine_*: per-construction counters (label order = the stats
   // registry's name-sorted map, so exposition is deterministic).  The
   // slots lock serializes this iteration against slot creation on the
-  // session thread — the admin scraper calls this concurrently; the
-  // counters themselves are relaxed cells and need no lock.
+  // session thread — the periodic metrics flusher calls this from its own
+  // thread mid-run; the counters themselves are relaxed cells and need no
+  // lock.
   auto SlotsLock = Eng.Stats.slotsLock();
   for (const auto &[Name, C] : Eng.Stats.constructions()) {
     addLabelled(Snap, "fast_engine_runs_total",
@@ -136,7 +142,7 @@ void fast::engine::collectSessionMetrics(const SessionEngine &Eng,
                     "Individual Z3 check() latency (us)", Q.Z3CheckUs);
 
   // --- fast_vm_*: the compiled data plane.  Always emitted (zeros when
-  // the VM never ran) so scrapers see a stable family set.
+  // the VM never ran) so every snapshot has a stable family set.
   const VmStats &V = Eng.Stats.vm();
   Snap.addCounter("fast_vm_programs_compiled_total",
                   "Programs lowered by vm::compileSttr",
@@ -195,4 +201,74 @@ void fast::engine::collectSessionMetrics(const SessionEngine &Eng,
   Snap.addGauge("fast_flightrecorder_capacity",
                 "Flight-recorder ring capacity in events",
                 double(FR.capacity()));
+}
+
+//===----------------------------------------------------------------------===//
+// MetricsFileFlusher
+//===----------------------------------------------------------------------===//
+
+bool MetricsFileFlusher::flushOnce(const SessionEngine &Eng,
+                                   const std::string &Path) {
+  MetricsSnapshot Snap;
+  collectSessionMetrics(Eng, Snap);
+  bool Json = Path.size() > 5 &&
+              Path.compare(Path.size() - 5, 5, ".json") == 0;
+  std::string Tmp = Path + ".tmp";
+  {
+    std::ofstream Out(Tmp, std::ios::trunc);
+    if (!Out)
+      return false;
+    Out << (Json ? Snap.json() : Snap.prometheus());
+    Out.flush();
+    if (!Out)
+      return false;
+  }
+  // rename(2) is atomic within a filesystem: readers (and metrics_check
+  // after a forced abort) only ever observe a complete document.
+  return ::rename(Tmp.c_str(), Path.c_str()) == 0;
+}
+
+void MetricsFileFlusher::start(const SessionEngine &Eng, std::string ToPath,
+                               unsigned Interval) {
+  stop();
+  Engine = &Eng;
+  Path = std::move(ToPath);
+  IntervalMs = Interval == 0 ? 1000 : Interval;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Stop = false;
+    Flushes = 0;
+  }
+  flushOnce(Eng, Path); // a file exists from the very first tick
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    ++Flushes;
+  }
+  Thread = std::thread([this] {
+    std::unique_lock<std::mutex> Lock(Mu);
+    while (!Cv.wait_for(Lock, std::chrono::milliseconds(IntervalMs),
+                        [this] { return Stop; })) {
+      Lock.unlock();
+      flushOnce(*Engine, Path);
+      Lock.lock();
+      ++Flushes;
+    }
+  });
+}
+
+void MetricsFileFlusher::stop() {
+  if (!Thread.joinable())
+    return;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Stop = true;
+  }
+  Cv.notify_all();
+  Thread.join();
+  flushOnce(*Engine, Path); // final state survives the thread
+}
+
+uint64_t MetricsFileFlusher::flushCount() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Flushes;
 }

@@ -148,7 +148,8 @@ public:
   /// Guards the *structure* of the construction map (node creation), not
   /// the counters inside the slots — those are relaxed cells readable
   /// without any lock.  Hold this while iterating constructions() from a
-  /// thread that may race new construction names (the admin scraper).
+  /// thread that may race new construction names (the periodic metrics
+  /// flusher, or perfbench reading counters mid-run).
   std::unique_lock<std::mutex> slotsLock() const {
     return std::unique_lock<std::mutex>(MapMu);
   }

@@ -124,14 +124,6 @@ void FlightRecorder::dumpTo(std::ostream &Out, std::string_view Reason) const {
   Out << "\n]\n";
 }
 
-bool FlightRecorder::snapshotTo(std::ostream &Out,
-                                std::string_view Reason) const {
-  if (!armed())
-    return false;
-  dumpTo(Out, Reason);
-  return true;
-}
-
 bool FlightRecorder::dumpIncident(std::string_view Reason) {
   if (!armed() || Path.empty() || Dumped.load())
     return false;

@@ -24,16 +24,16 @@
 /// sites list the attributes a dump needs first.
 ///
 /// The first dump wins: an incident dump freezes the recorder so a later
-/// exit-time dump cannot overwrite the evidence.  The admin server's
-/// `POST /debug/flightrecorder` endpoint instead calls snapshotTo(), which
-/// copies the ring under the mutex and renders it WITHOUT setting the
-/// dumped flag — evidence can be pulled repeatedly while the process runs,
-/// and a later real incident still freezes the original ring.
+/// exit-time dump cannot overwrite the evidence.
 ///
-/// Threading: the Tracer records from the session thread; every ring
-/// mutation and every read of ring contents (dump/snapshot/digest) happens
-/// under one mutex, so a snapshot taken by the admin thread mid-run is a
-/// consistent prefix of the event sequence.
+/// Threading: the Tracer records from the session thread, and a parallel
+/// run replays its workers' events there at the join point.  The ring's
+/// accounting (armed, recorded, dropped, dumped) is atomic, because the
+/// periodic metrics flusher (engine/MetricsBridge.h) reads it from its own
+/// thread while the session records.  Every ring mutation and every read
+/// of ring contents (the dumps and structureDigest()) happens under one
+/// mutex, so whichever thread takes a dump gets a consistent prefix of the
+/// event sequence.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -92,12 +92,6 @@ public:
   bool dumpFinal();
   /// Streams the dump (tests and both dump entry points).
   void dumpTo(std::ostream &Out, std::string_view Reason) const;
-  /// Non-destructive snapshot: copies the ring under the mutex and renders
-  /// it to \p Out without touching the first-incident-wins dumped flag, so
-  /// a post-snapshot real incident still freezes the original ring.  Safe
-  /// to call from a thread other than the recording one (the admin
-  /// endpoint's whole purpose).  False when disarmed.
-  bool snapshotTo(std::ostream &Out, std::string_view Reason) const;
 
   /// --- Introspection --------------------------------------------------
 

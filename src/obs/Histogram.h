@@ -14,9 +14,9 @@
 /// reset-by-assignment idiom.
 ///
 /// Fields are single-writer relaxed atomics (support/RelaxedCell.h) so the
-/// admin server's scrape thread can snapshot a histogram while its owner
-/// records into it.  A snapshot taken mid-record must still satisfy the
-/// exposition invariant `sum(buckets) <= count` (metrics_check rejects a
+/// periodic metrics flusher's thread can snapshot a histogram while its
+/// owner records into it.  A snapshot taken mid-record must still satisfy
+/// the exposition invariant `sum(buckets) <= count` (metrics_check rejects a
 /// +Inf bucket below the last cumulative one), so record() bumps Count
 /// BEFORE the bucket, publishing the bucket with a release store, and the
 /// copy path reads every bucket (acquire) BEFORE Count: any bucket

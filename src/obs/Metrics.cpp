@@ -8,7 +8,6 @@
 
 #include "obs/TraceSink.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -234,48 +233,6 @@ std::string MetricsSnapshot::json(bool IncludeTiming) const {
   }
   Out << "]}";
   return Out.str();
-}
-
-MetricsSnapshot MetricsSnapshot::deltaFrom(const MetricsSnapshot &Prev) const {
-  MetricsSnapshot Out;
-  for (const MetricFamily &F : Families) {
-    MetricFamily &NF = Out.family(F.Name, F.Kind, F.Help, F.Timing);
-    const MetricFamily *PF = Prev.find(F.Name);
-    for (const MetricSample &S : F.Samples) {
-      const MetricSample *PS = nullptr;
-      if (PF)
-        for (const MetricSample &Cand : PF->Samples)
-          if (Cand.Labels == S.Labels) {
-            PS = &Cand;
-            break;
-          }
-      MetricSample NS = S;
-      if (PS) {
-        if (F.Kind == MetricKind::Counter)
-          NS.Value = std::max(0.0, S.Value - PS->Value);
-        else if (F.Kind == MetricKind::Histogram) {
-          // Bucket-wise subtraction; max_us keeps the current-window upper
-          // bound we actually know (the all-time max), which over-reports
-          // but never invents samples.
-          LatencyHistogram D;
-          for (size_t I = 0; I < LatencyHistogram::NumBuckets; ++I) {
-            uint64_t Cur = S.Hist.buckets()[I], Old = PS->Hist.buckets()[I];
-            uint64_t N = Cur > Old ? Cur - Old : 0;
-            // Re-record N samples at the bucket's lower bound to rebuild a
-            // structurally valid histogram (counts and buckets exact; sum
-            // approximate at bucket resolution).
-            double Lower = I == 0 ? 0 : double(uint64_t(1) << (I - 1));
-            for (uint64_t J = 0; J < N; ++J)
-              D.record(Lower);
-          }
-          NS.Hist = D;
-        }
-        // Gauges pass through with their current value.
-      }
-      NF.Samples.push_back(std::move(NS));
-    }
-  }
-  return Out;
 }
 
 } // namespace fast::obs

@@ -9,8 +9,7 @@
 /// point-in-time, plain-data copy of every metric the session knows about:
 /// the families bridged from StatsRegistry, Solver::Stats, and VmStats (see
 /// engine/MetricsBridge.h).  Snapshots render to the two exposition formats
-/// (Prometheus text v0.0.4 and a versioned JSON document) and support delta
-/// semantics between two scrapes.
+/// (Prometheus text v0.0.4 and a versioned JSON document).
 ///
 /// Families carry a `Timing` flag: metrics whose values depend on wall-clock
 /// measurements (wall_ms, every *_us histogram, flight-recorder event
@@ -36,7 +35,7 @@ enum class MetricKind { Counter, Gauge, Histogram };
 
 /// One labelled sample inside a family.  Counter/gauge samples use `Value`;
 /// histogram samples carry the full LatencyHistogram so exposition can emit
-/// cumulative buckets and delta() can subtract bucket-wise.
+/// cumulative buckets.
 struct MetricSample {
   std::vector<std::pair<std::string, std::string>> Labels;
   double Value = 0;
@@ -84,12 +83,6 @@ public:
 
   /// Versioned JSON document: {"schema_version":1,"families":[...]}.
   std::string json(bool IncludeTiming = true) const;
-
-  /// Returns a snapshot where counters and histograms are this snapshot
-  /// minus \p Prev (matched by family name + label set; samples absent from
-  /// Prev pass through) and gauges keep their current value.  Supports
-  /// scrape-to-scrape delta semantics for a long-lived service.
-  MetricsSnapshot deltaFrom(const MetricsSnapshot &Prev) const;
 
 private:
   std::vector<MetricFamily> Families;

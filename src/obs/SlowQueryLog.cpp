@@ -2,8 +2,6 @@
 
 #include "obs/SlowQueryLog.h"
 
-#include "obs/TraceSink.h"
-
 #include <iomanip>
 #include <sstream>
 
@@ -27,22 +25,5 @@ std::string SlowQueryLog::report() const {
       Out << E.Query;
     Out << "\n";
   }
-  return Out.str();
-}
-
-std::string SlowQueryLog::json() const {
-  std::ostringstream Out;
-  Out << "[";
-  bool First = true;
-  for (const Entry &E : sorted()) {
-    if (!First)
-      Out << ",";
-    First = false;
-    Out << "{\"us\":" << std::fixed << std::setprecision(1) << E.Us
-        << ",\"kind\":\"" << jsonEscape(E.Kind) << "\",\"construction\":\""
-        << jsonEscape(E.Construction) << "\",\"query\":\""
-        << jsonEscape(E.Query) << "\"}";
-  }
-  Out << "]";
   return Out.str();
 }

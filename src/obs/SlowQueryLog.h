@@ -90,11 +90,6 @@ public:
   /// Human-readable dump, slowest first (empty string when no entries).
   std::string report() const;
 
-  /// JSON array of the retained queries, slowest first ("[]" when empty):
-  /// [{"us":..., "kind":..., "construction":..., "query":...}, ...].
-  /// The admin server's /debug/slowqueries document.
-  std::string json() const;
-
   void clear() {
     Entries.clear();
     MinUs = 0;

@@ -2,6 +2,7 @@
 
 #include "obs/Tracer.h"
 
+#include <cassert>
 #include <cstdlib>
 #include <iostream>
 
@@ -26,27 +27,26 @@ bool Tracer::openTrace(const std::string &Path) {
 }
 
 void Tracer::setSink(std::unique_ptr<TraceSink> NewSink) {
+  assert((!NewSink || SpanStack.empty()) &&
+         "a sink attaches only while no span is open");
   closeTrace();
   Sink = std::move(NewSink);
-  SinkFloor = SpanStack.size();
   updateActive();
 }
 
 void Tracer::closeTrace() {
   if (!Sink)
     return;
-  // Balance the spans the sink saw begin and that are still open (e.g. a
-  // construction aborted by an ExplorationError unwinding past scope
-  // guards that checked active() before this sink existed).  The ring
-  // keeps its own view: those spans end there when their scopes do.
-  for (size_t I = SpanStack.size(); I > SinkFloor; --I)
+  // Balance the spans that are still open: the sink attached with none
+  // open, so it saw every one of them begin.  The ring keeps its own view:
+  // those spans end there when their scopes do.
+  for (size_t I = SpanStack.size(); I > 0; --I)
     Sink->event({'E', SpanStack[I - 1].Name, SpanStack[I - 1].Category,
                  nowUs(), 0, {}});
   Sink->finish();
   Sink.reset();
   if (!Recorder.armed())
     SpanStack.clear();
-  SinkFloor = SpanStack.size();
   updateActive();
 }
 
@@ -87,15 +87,7 @@ void Tracer::endSpan(std::span<const TraceAttr> Attrs) {
     return;
   OpenSpan Top = SpanStack.back();
   SpanStack.pop_back();
-  TraceEvent E{'E', Top.Name, Top.Category, nowUs(), 0, Attrs};
-  if (SpanStack.size() < SinkFloor) {
-    // Begun before the sink was attached: the ring alone saw the 'B'.
-    SinkFloor = SpanStack.size();
-    if (Recorder.armed())
-      Recorder.append(E);
-    return;
-  }
-  emit(E);
+  emit({'E', Top.Name, Top.Category, nowUs(), 0, Attrs});
 }
 
 void Tracer::complete(Literal Name, Literal Category,

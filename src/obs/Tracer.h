@@ -72,7 +72,10 @@ public:
   /// if the file cannot be opened.
   bool openTrace(const std::string &Path);
 
-  /// Installs a custom sink (tests), or detaches with null.
+  /// Installs a custom sink (tests, the report's memory sink, a worker's
+  /// replay buffer), or detaches with null.  A sink attaches only while no
+  /// span is open (asserted), so it sees the begin of every span whose end
+  /// it sees; every caller attaches to a fresh or idle tracer.
   void setSink(std::unique_ptr<TraceSink> NewSink);
 
   /// Finishes and closes the current sink, balancing the spans it saw
@@ -95,8 +98,8 @@ public:
   /// the base session's and can be replayed into its consumers unadjusted.
   void alignEpochTo(const Tracer &Base) { Epoch = Base.Epoch; }
 
-  /// The always-on incident ring (see FlightRecorder.h): dumps, snapshots
-  /// and accounting.  Disarmed by default.
+  /// The always-on incident ring (see FlightRecorder.h): dumps and
+  /// accounting.  Disarmed by default.
   FlightRecorder &recorder() { return Recorder; }
   const FlightRecorder &recorder() const { return Recorder; }
 
@@ -174,10 +177,6 @@ private:
     std::string_view Category;
   };
   std::vector<OpenSpan> SpanStack;
-  /// Spans below this depth began before the current sink was attached:
-  /// their ends reach the ring only, so the sink never sees an 'E'
-  /// without its 'B'.
-  size_t SinkFloor = 0;
   std::vector<Literal> ConstructionStack;
   SlowQueryLog Slow;
   std::ostream *Progress = nullptr;
@@ -187,8 +186,8 @@ private:
 
 /// RAII span: begins on construction when the tracer is active and ends
 /// on destruction, or earlier through end() with attributes.  Captures
-/// activity once, so a consumer attached mid-span cannot see an unbalanced
-/// end.
+/// activity once, so a consumer attached while a guard that began inactive
+/// is alive never sees an end without its begin.
 class SpanGuard {
 public:
   SpanGuard(Tracer *T, Literal Name, Literal Category)

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// A drop-in replacement for plain counter fields that must be readable by
-/// a concurrent observer (the admin server's scrape thread) while a single
-/// writer mutates them.  Each cell wraps a std::atomic accessed with
+/// a concurrent observer (the periodic metrics flusher's thread, or
+/// perfbench reading counters mid-run) while a single writer mutates them.
+/// Each cell wraps a std::atomic accessed with
 /// relaxed ordering; compound updates are expressed as load-then-store,
 /// NOT fetch_add, because every cell has exactly one writer at a time (the
 /// session thread, or one worker thread before its shard is merged) and a

@@ -3,11 +3,10 @@
 // Covers the flight-recorder ring as a consumer of the Tracer's one event
 // stream: ring semantics (wrap, eviction accounting, capacity rounding,
 // disarmed no-ops), the Chrome-trace dump (metadata record, dump-once
-// incident freezing, non-consuming snapshots, the payload each hook's event
-// keeps), and the parallel contract: worker events replayed at the join
-// point reach the ring in task-index order on lane 2 + task, so the ring is
-// the tail of what the sink saw and digests identically at any thread
-// count.
+// incident freezing, the payload each hook's event keeps), and the
+// parallel contract: worker events replayed at the join point reach the
+// ring in task-index order on lane 2 + task, so the ring is the tail of
+// what the sink saw and digests identically at any thread count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -153,35 +152,6 @@ TEST(FlightRecorderTest, FirstIncidentFreezesTheRecorder) {
   EXPECT_NE(Text.find("first incident"), std::string::npos);
   EXPECT_NE(Text.find("before"), std::string::npos);
   EXPECT_EQ(Text.find("after"), std::string::npos);
-}
-
-TEST(FlightRecorderTest, SnapshotDoesNotConsumeTheIncidentDump) {
-  // The admin plane's POST /debug/flightrecorder reads the ring through
-  // snapshotTo(): a live snapshot must not spend the first-incident-wins
-  // dump, or a scrape would eat the evidence of a later real incident.
-  std::string Path = testing::TempDir() + "/fr_snapshot.json";
-  std::remove(Path.c_str());
-  Tracer T;
-  std::ostringstream Disarmed;
-  EXPECT_FALSE(T.recorder().snapshotTo(Disarmed, "too early"));
-
-  T.armRecorder(Path, 16);
-  T.instant("before", "test");
-  std::ostringstream Snap;
-  ASSERT_TRUE(T.recorder().snapshotTo(Snap, "admin snapshot"));
-  EXPECT_NE(Snap.str().find("admin snapshot"), std::string::npos);
-  EXPECT_NE(Snap.str().find("before"), std::string::npos);
-  EXPECT_FALSE(T.recorder().dumped());
-
-  // The ring keeps recording, and a post-snapshot incident still freezes
-  // with everything the snapshot saw plus what followed.
-  T.instant("after", "test");
-  ASSERT_TRUE(T.recorder().dumpIncident("real incident"));
-  EXPECT_TRUE(T.recorder().dumped());
-  std::string Text = slurp(Path);
-  EXPECT_NE(Text.find("real incident"), std::string::npos);
-  EXPECT_NE(Text.find("before"), std::string::npos);
-  EXPECT_NE(Text.find("after"), std::string::npos);
 }
 
 TEST(FlightRecorderTest, StructureDigestIgnoresTimestampsAndArgs) {

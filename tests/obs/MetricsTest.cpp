@@ -1,12 +1,15 @@
 //===- tests/obs/MetricsTest.cpp - Telemetry plane: metrics ---------------===//
 //
 // Covers MetricsSnapshot exposition (Prometheus text v0.0.4, the versioned
-// JSON document, timing-family exclusion, delta semantics), the bridged
-// session snapshot's subsystem coverage, and its -j1 == -j4 determinism.
+// JSON document, timing-family exclusion), the bridged session snapshot's
+// subsystem coverage, its -j1 == -j4 determinism, and the periodic file
+// flusher writing valid, monotone snapshots while a -j 4 run mutates the
+// counters it reads.
 //
 //===----------------------------------------------------------------------===//
 
 #include "checks/JsonCheck.h"
+#include "checks/MetricsCheck.h"
 #include "engine/MetricsBridge.h"
 #include "fast/Fast.h"
 #include "obs/Metrics.h"
@@ -14,6 +17,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,8 +32,17 @@ using fast::obs::LatencyHistogram;
 using fast::obs::MetricFamily;
 using fast::obs::MetricKind;
 using fast::obs::MetricsSnapshot;
+namespace mc = fast::obs::metricscheck;
 
 namespace {
+
+/// The whole file, or "" when it cannot be opened.
+std::string slurp(const std::string &Path) {
+  std::ifstream In(Path);
+  std::stringstream Text;
+  Text << In.rdbuf();
+  return Text.str();
+}
 
 /// Figure 8's analysis plus a pass/fail assertion batch — enough work to
 /// populate engine, solver, and (when eligible) VM statistics.
@@ -115,35 +134,6 @@ TEST(MetricsSnapshotTest, JsonExpositionParses) {
   EXPECT_EQ(Sum, 2);
 }
 
-TEST(MetricsSnapshotTest, DeltaFromSubtracts) {
-  MetricsSnapshot A, B;
-  A.addCounter("fast_runs_total", "", 10);
-  A.addGauge("fast_active", "", 5);
-  LatencyHistogram HA;
-  HA.record(3);
-  A.addHistogram("fast_op_us", "", HA);
-
-  B.addCounter("fast_runs_total", "", 25);
-  B.addGauge("fast_active", "", 2);
-  LatencyHistogram HB = HA;
-  HB.record(3);
-  HB.record(100);
-  B.addHistogram("fast_op_us", "", HB);
-
-  MetricsSnapshot D = B.deltaFrom(A);
-  EXPECT_EQ(D.find("fast_runs_total")->Samples[0].Value, 15.0);
-  // Gauges pass through with their current value.
-  EXPECT_EQ(D.find("fast_active")->Samples[0].Value, 2.0);
-  // Histogram delta: the two new samples, bucket-exact.
-  const LatencyHistogram &DH = D.find("fast_op_us")->Samples[0].Hist;
-  EXPECT_EQ(DH.count(), 2u);
-
-  // A counter that (impossibly) shrank clamps to zero rather than going
-  // negative.
-  MetricsSnapshot Shrunk = A.deltaFrom(B);
-  EXPECT_EQ(Shrunk.find("fast_runs_total")->Samples[0].Value, 0.0);
-}
-
 TEST(StatsShimTest, SnapshotCoversAllSubsystems) {
   Session S;
   FastProgramResult R = runFastProgram(S, statsProgram());
@@ -196,6 +186,67 @@ TEST(ParallelMetricsTest, SnapshotsAreByteIdenticalAcrossThreadCounts) {
   auto [Prom4, Json4] = Expose(4);
   EXPECT_EQ(Prom1, Prom4);
   EXPECT_EQ(Json1, Json4);
+}
+
+TEST(ParallelMetricsTest, PeriodicFlushesStayValidAndMonotoneDuringARun) {
+  // The flusher thread collects the session metrics every millisecond
+  // while a 4-thread run creates construction slots and merges worker
+  // counters.  Every file a concurrent reader opens must be one complete
+  // snapshot (tmp + rename), and consecutive reads must never show a
+  // non-timing counter going backwards.
+  const std::string Path = testing::TempDir() + "/parallel_flush.prom";
+  const std::string Tmp = Path + ".tmp";
+  std::remove(Path.c_str());
+  std::remove(Tmp.c_str());
+
+  Session S;
+  engine::MetricsFileFlusher Flusher;
+  Flusher.start(S.engine(), Path, /*IntervalMs=*/1);
+  ASSERT_TRUE(Flusher.running());
+
+  std::atomic<bool> Done{false};
+  std::string Failure;
+  size_t Reads = 0;
+  std::thread Reader([&] {
+    mc::Document Prev;
+    while (!Done.load() && Failure.empty()) {
+      mc::Document Doc;
+      std::string Error;
+      size_t Counters = 0, Histograms = 0, Compared = 0;
+      // The bridge emits this gauge last, so a read without its sample
+      // saw a missing or truncated file.
+      const char *Last = "fast_flightrecorder_capacity";
+      const std::string Read = "read " + std::to_string(Reads);
+      if (!mc::loadText(slurp(Path), /*Json=*/false, Doc, Error) ||
+          !mc::validate(Doc, Error, Counters, Histograms))
+        Failure = Read + " invalid: " + Error;
+      else if (!Doc.Families.count(Last) ||
+               Doc.Families[Last].Scalars.empty())
+        Failure = Read + " is truncated";
+      else if (Reads && !mc::checkMonotone(Prev, Doc, Error, Compared))
+        Failure = Read + " regressed: " + Error;
+      Prev = std::move(Doc);
+      ++Reads;
+    }
+  });
+
+  FastRunOptions Opts;
+  Opts.Threads = 4;
+  FastProgramResult R = runFastProgram(S, statsProgram(), Opts);
+  Done.store(true);
+  Reader.join();
+  Flusher.stop();
+
+  EXPECT_EQ(R.ErrorCount, 0u) << R.DiagText;
+  EXPECT_TRUE(Failure.empty()) << Failure;
+  EXPECT_GT(Reads, 0u);
+  EXPECT_GT(Flusher.flushCount(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(Tmp)) << Tmp << " left behind";
+
+  // stop()'s final flush leaves the settled session's snapshot on disk.
+  MetricsSnapshot Final;
+  engine::collectSessionMetrics(S.engine(), Final);
+  EXPECT_EQ(slurp(Path), Final.prometheus());
 }
 
 } // namespace

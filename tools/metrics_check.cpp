@@ -1,15 +1,15 @@
 //===- tools/metrics_check.cpp - Metrics exposition validator -------------===//
 //
-// Validates a metrics file produced by the telemetry plane (fastc --metrics,
-// FAST_METRICS, or a /metrics[.json] scrape saved by serve_check):
+// Validates a metrics file produced by the telemetry plane (fastc --metrics
+// or FAST_METRICS, written at exit or periodically under
+// FAST_METRICS_INTERVAL_MS):
 //
 //   metrics_check <metrics.prom | metrics.json> [<later.prom | later.json>]
 //
 // Accepts both exposition formats — Prometheus text v0.0.4 (anything not
 // ending in ".json") and the versioned JSON document.  The invariants live
-// in obs/MetricsCheck.{h,cpp} so the serve_check client and the
-// concurrent-scrape tests apply the identical checks; this driver only adds
-// file IO and the CLI.
+// in checks/MetricsCheck.{h,cpp} so the concurrent-flush test applies the
+// identical checks; this tool only adds file IO and the CLI.
 //
 // With a second file, checks counter monotonicity between two snapshots of
 // the same process: every non-timing counter sample present in both must

@@ -1,5 +1,5 @@
 # Runs fastc with --metrics on a real program (both exposition formats),
-# validates the files with metrics_check, and pins two contracts:
+# validates the files with metrics_check, and pins three contracts:
 #
 #  * coverage — the exposition must span all three bridged subsystems
 #    (fast_engine_*, fast_solver_*, fast_vm_*);
@@ -8,7 +8,14 @@
 #    running it in both directions therefore asserts equality.  The
 #    contract is checked on PROGRAM and on LANGS_PROGRAM, whose language
 #    automaton is large (32 rules) and goes through complement and
-#    intersection in the sequential declaration tier.
+#    intersection in the sequential declaration tier;
+#  * one writer — with FAST_METRICS_INTERVAL_MS=1 a flusher thread
+#    rewrites the file every millisecond of a -j 4 run, and the exit-time
+#    write must not race it: each of PERIODIC_RUNS runs exits below 2,
+#    leaves a file metrics_check accepts, and leaves no FILE.tmp behind.
+#    When two writers share FILE.tmp, one rename can carry off the other's
+#    file and the loser exits 2.  That happened in 23 of 200 runs on a
+#    4-core host, so 50 runs catch it with probability above 0.99.
 #
 # Invoked by the metrics.smoke ctest as
 #   cmake -DFASTC=... -DMETRICS_CHECK=... -DPROGRAM=... -DLANGS_PROGRAM=...
@@ -94,3 +101,39 @@ foreach(Direction "metrics_j1.prom|metrics_j4.prom" "metrics_j4.prom|metrics_j1.
   endif()
   message(STATUS "${Earlier} vs ${Later}: ${CheckOut}")
 endforeach()
+
+# One writer: the periodic flusher and the exit-time write must never
+# touch FILE.tmp at the same time.
+set(PERIODIC_RUNS 50)
+set(PeriodicFile "${OUT_DIR}/periodic_j4.prom")
+foreach(Iteration RANGE 1 ${PERIODIC_RUNS})
+  file(REMOVE "${PeriodicFile}" "${PeriodicFile}.tmp")
+  execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E env FAST_METRICS_INTERVAL_MS=1
+            "${FASTC}" "--metrics=${PeriodicFile}" -j 4 "${PROGRAM}"
+    RESULT_VARIABLE RunResult
+    OUTPUT_VARIABLE RunOut
+    ERROR_VARIABLE RunErr)
+  if(RunResult GREATER 1)
+    message(FATAL_ERROR
+      "periodic run ${Iteration}/${PERIODIC_RUNS}: fastc "
+      "--metrics=${PeriodicFile} with FAST_METRICS_INTERVAL_MS=1 failed "
+      "(exit ${RunResult}):\n${RunErr}")
+  endif()
+  execute_process(
+    COMMAND "${METRICS_CHECK}" "${PeriodicFile}"
+    RESULT_VARIABLE CheckResult
+    OUTPUT_VARIABLE CheckOut
+    ERROR_VARIABLE CheckErr)
+  if(NOT CheckResult EQUAL 0)
+    message(FATAL_ERROR
+      "periodic run ${Iteration}/${PERIODIC_RUNS}: metrics_check rejected "
+      "${PeriodicFile} (exit ${CheckResult}):\n${CheckOut}${CheckErr}")
+  endif()
+  if(EXISTS "${PeriodicFile}.tmp")
+    message(FATAL_ERROR
+      "periodic run ${Iteration}/${PERIODIC_RUNS} left ${PeriodicFile}.tmp")
+  endif()
+endforeach()
+message(STATUS "periodic flush: ${PERIODIC_RUNS} runs at "
+               "FAST_METRICS_INTERVAL_MS=1 -j 4, one writer each")
