@@ -3,8 +3,10 @@
 // Shared helper for the figure-level benchmarks: appends records to a JSON
 // file (one record per line inside a top-level array) so repeated runs of
 // different figures merge into one BENCH_figs.json.  A record carries the
-// benchmark name, the problem size, the wall time, and the session's
-// engine-stats object (StatsRegistry::json()).
+// benchmark name, the problem size, the wall time, and an `engine` object:
+// the session's metrics snapshot as JSON without timing families
+// (engineJson), i.e. its deterministic engine, solver, VM and program
+// counters.
 //
 // Re-running a benchmark replaces its own earlier records (matched by the
 // "source" tag) and leaves records from other sources untouched.
@@ -14,12 +16,23 @@
 #ifndef FAST_BENCH_BENCHJSON_H
 #define FAST_BENCH_BENCHJSON_H
 
+#include "engine/MetricsBridge.h"
+#include "transducers/Session.h"
+
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 namespace fast::bench {
+
+/// The `engine` object of a record: \p S's metrics snapshot as JSON
+/// without timing families.  The record's own wall_ms carries the timing.
+inline std::string engineJson(Session &S) {
+  obs::MetricsSnapshot Snap;
+  engine::collectSessionMetrics(S.engine(), Snap);
+  return Snap.json(/*IncludeTiming=*/false);
+}
 
 class BenchJsonWriter {
 public:
@@ -29,7 +42,7 @@ public:
       : Path(std::move(Path)), Source(std::move(Source)) {}
 
   /// Queue one record.  \p EngineStatsJson must be a JSON object (use
-  /// StatsRegistry::json(), or "{}" when no stats apply).
+  /// engineJson(), or "{}" when no stats apply).
   void add(const std::string &Name, long N, double WallMs,
            const std::string &EngineStatsJson) {
     std::ostringstream Line;

@@ -141,7 +141,7 @@ int main(int Argc, char **Argv) {
             << " rules (paper: up to 300 states / 4,000 rules)\n";
 
   bench::BenchJsonWriter Json("BENCH_figs.json", "fig6");
-  std::string Stats = S.stats().json();
+  std::string Stats = bench::engineJson(S);
   Json.add("fig6_compose_avg", NumTaggers, SumCompose / Pairs, "{}");
   Json.add("fig6_input_restrict_avg", NumTaggers, SumInput / Pairs, "{}");
   Json.add("fig6_output_restrict_avg", NumTaggers, SumOutput / Pairs, "{}");

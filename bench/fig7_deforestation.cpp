@@ -72,7 +72,7 @@ int main(int Argc, char **Argv) {
               << NaiveMs / FastMs << "x\n";
     Json.add("fig7_naive", N, NaiveMs, "{}");
     Json.add("fig7_fast", N, FastMs, "{}");
-    Json.add("fig7_fusion", N, FusionMs, S.stats().json());
+    Json.add("fig7_fusion", N, FusionMs, bench::engineJson(S));
   }
   std::cout << "\npaper at n=512: Fast 1,313 ms vs naive 4,686 ms "
                "(3.6x); expected shape: naive linear in n, Fast flat\n";

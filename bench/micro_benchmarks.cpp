@@ -110,35 +110,17 @@ BENCHMARK(BM_LanguageMembership)->Arg(8 << 10)->Arg(64 << 10);
 /// (averaged per iteration), so BENCH_micro.json carries them.
 void reportEngineCounters(benchmark::State &State, Session &S) {
   engine::ConstructionStats Total;
-  for (const auto &[Name, C] : S.stats().constructions()) {
-    Total.StatesExplored += C.StatesExplored;
-    Total.RulesEmitted += C.RulesEmitted;
-    Total.SatQueries += C.SatQueries;
-    Total.SatCacheHits += C.SatCacheHits;
-    Total.MintermSplits += C.MintermSplits;
-    Total.MintermCacheHits += C.MintermCacheHits;
-    Total.SolverQueryUs.merge(C.SolverQueryUs);
-    Total.MintermSplitUs.merge(C.MintermSplitUs);
-  }
-  auto PerIter = [&](uint64_t V) {
-    return benchmark::Counter(static_cast<double>(V),
-                              benchmark::Counter::kAvgIterations);
-  };
-  State.counters["states_explored"] = PerIter(Total.StatesExplored);
-  State.counters["rules_emitted"] = PerIter(Total.RulesEmitted);
-  State.counters["sat_queries"] = PerIter(Total.SatQueries);
-  State.counters["sat_cache_hits"] = PerIter(Total.SatCacheHits);
-  State.counters["minterm_splits"] = PerIter(Total.MintermSplits);
-  State.counters["minterm_cache_hits"] = PerIter(Total.MintermCacheHits);
+  for (const auto &[Name, C] : S.stats().constructions())
+    Total.mergeFrom(C);
+  for (const auto &F : engine::ConstructionStats::counters())
+    State.counters[F.Key] = benchmark::Counter(
+        F.value(Total), benchmark::Counter::kAvgIterations);
   // Latency percentiles are properties of the whole run, not per-iteration
   // averages, so they go in as plain counters.
-  auto Plain = [](double V) { return benchmark::Counter(V); };
-  State.counters["solver_query_p50_us"] = Plain(Total.SolverQueryUs.percentileUs(50));
-  State.counters["solver_query_p95_us"] = Plain(Total.SolverQueryUs.percentileUs(95));
-  State.counters["solver_query_p99_us"] = Plain(Total.SolverQueryUs.percentileUs(99));
-  State.counters["minterm_split_p50_us"] = Plain(Total.MintermSplitUs.percentileUs(50));
-  State.counters["minterm_split_p95_us"] = Plain(Total.MintermSplitUs.percentileUs(95));
-  State.counters["minterm_split_p99_us"] = Plain(Total.MintermSplitUs.percentileUs(99));
+  for (const auto &H : engine::ConstructionStats::histograms())
+    for (int P : {50, 95, 99})
+      State.counters[std::string(H.Key) + "_p" + std::to_string(P) + "_us"] =
+          benchmark::Counter((Total.*H.Member).percentileUs(P));
 }
 
 /// One composition of the Figure 8 transducers.

@@ -13,8 +13,11 @@
 // every configuration, and appends records to BENCH_parallel.json:
 //
 //   {"source":"parallel_scaling","name":"fig6_pairwise/j4","n":4,
-//    "wall_ms":...,"engine":{...,"hardware_threads":N,"tasks":T}}
+//    "wall_ms":...,"engine":{"hardware_threads":N,"tasks":T,
+//    "schema_version":1,"families":[...]}}
 //
+// where the engine object is the session's metrics snapshot without
+// timing families (bench::engineJson).
 // `n` is the thread count (0 = sequential path).  Speedups are whatever
 // the host gives — on a single-core container every thread count
 // serializes onto one CPU and the interesting number is the overhead of
@@ -91,7 +94,7 @@ Measurement runFig6(unsigned Taggers, unsigned Threads) {
   M.WallMs = msSince(Start);
   for (const ar::ConflictCheck &C : Checks)
     M.Verdicts += C.Conflict ? 'C' : '.';
-  M.StatsJson = S.stats().json();
+  M.StatsJson = bench::engineJson(S);
   return M;
 }
 
@@ -128,12 +131,12 @@ Measurement runTypecheck(unsigned Instances, unsigned Threads) {
     });
   }
   M.WallMs = msSince(Start);
-  M.StatsJson = S.stats().json();
+  M.StatsJson = bench::engineJson(S);
   return M;
 }
 
-/// Splices bench-level fields into the engine-stats JSON object so each
-/// record is self-describing.
+/// Splices bench-level fields into the engine JSON object so each record
+/// is self-describing.
 std::string withBenchFields(const std::string &StatsJson, unsigned Tasks) {
   std::string Extra = "\"hardware_threads\":" +
                       std::to_string(hardwareThreads()) +

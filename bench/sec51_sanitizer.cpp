@@ -283,7 +283,7 @@ int main(int Argc, char **Argv) {
 
   // The last record carries the engine stats (VM counters included), like
   // fig7 does for its fusion record.
-  Json.add("sec51_vm_stats", VS.Runs, TotalVm, S.stats().json());
+  Json.add("sec51_vm_stats", VS.Runs, TotalVm, bench::engineJson(S));
   if (Json.flush())
     std::cout << "\nwrote BENCH_figs.json (source sec51)\n";
   return AllEqual ? 0 : 1;

@@ -3,10 +3,10 @@
 // Runs a .fast program: compiles the declarations, evaluates the defs, and
 // reports every assertion with its witness when one fails.
 //
-// Usage:  fastc [--dump] [--emit=vm] [--stats] [--stats-json]
-//               [--metrics=FILE] [--flight-recorder=FILE] [--max-states=N]
-//               [--trace=FILE] [--explain] [--report=FILE]
-//               [--progress[=MS]] [--export NAME] [-j N] <program.fast>
+// Usage:  fastc [--dump] [--emit=vm] [--stats] [--metrics=FILE]
+//               [--flight-recorder=FILE] [--max-states=N] [--trace=FILE]
+//               [--explain] [--report=FILE] [--progress[=MS]]
+//               [--export NAME] [-j N] <program.fast>
 //   --dump         also print every compiled language automaton and
 //                  transformation (states, rules, guards).
 //   --emit=vm      lower every transformation through the compiled data
@@ -14,15 +14,15 @@
 //                  guard decision DAGs, lookahead rules, bytecode) — or a
 //                  `vm ineligible` line with the reason when a
 //                  transformation stays on the structural interpreter.
-//   --stats        print the exploration-engine statistics (states
-//                  explored, rules emitted, cache hit rates, query-latency
-//                  percentiles) per construction after the program runs,
+//   --stats        after the program runs, print the session's metrics
+//                  snapshot, one line per family under its --metrics
+//                  name (per-construction engine counters, solver and VM
+//                  counters, latency histograms as n/p50/p95/p99/max),
 //                  followed by the slowest solver queries of the session.
-//   --stats-json   print the same statistics as one machine-readable JSON
-//                  object on stdout.
 //   --metrics=FILE write the session's unified metrics snapshot (engine,
 //                  solver, VM, flight-recorder, and program counters) on
-//                  exit: FILE ending in ".json" gets the versioned JSON
+//                  every exit after the program ran, --export included:
+//                  FILE ending in ".json" gets the versioned JSON
 //                  document, anything else the Prometheus text exposition
 //                  (v0.0.4).  FAST_METRICS in the environment is the
 //                  flag-less equivalent.  With FAST_METRICS_INTERVAL_MS=MS
@@ -58,7 +58,7 @@
 //                  from.  Also reports declared rules that never fired as
 //                  dead-rule warnings.
 //   --report=FILE  write a single-file HTML session report embedding the
-//                  span timeline, stats and latency percentiles, the
+//                  span timeline, the metrics snapshot as JSON, the
 //                  slow-query log, rule coverage, and every explained
 //                  witness (implies provenance recording).
 //   --progress[=MS] print a heartbeat line to stderr while long
@@ -99,7 +99,6 @@ int main(int Argc, char **Argv) {
   bool Dump = false;
   bool EmitVm = false;
   bool Stats = false;
-  bool StatsJson = false;
   bool Progress = false;
   bool Explain = false;
   long ProgressMs = -1;
@@ -119,8 +118,6 @@ int main(int Argc, char **Argv) {
       EmitVm = true;
     else if (std::strcmp(Argv[I], "--stats") == 0)
       Stats = true;
-    else if (std::strcmp(Argv[I], "--stats-json") == 0)
-      StatsJson = true;
     else if (std::strcmp(Argv[I], "--progress") == 0)
       Progress = true;
     else if (std::strncmp(Argv[I], "--progress=", 11) == 0) {
@@ -161,7 +158,7 @@ int main(int Argc, char **Argv) {
   }
   if (!Path || Bad) {
     std::cerr << "usage: fastc [--dump] [--emit=vm] [--stats] "
-                 "[--stats-json] [--metrics=FILE] [--flight-recorder=FILE] "
+                 "[--metrics=FILE] [--flight-recorder=FILE] "
                  "[--max-states=N] [--trace=FILE] [--explain] "
                  "[--report=FILE] [--progress[=MS]] [--export NAME] "
                  "[-j N] <program.fast>\n";
@@ -275,12 +272,16 @@ int main(int Argc, char **Argv) {
     WriteMetrics();
     return 1;
   }
+  unsigned Failed = R.failedAssertions();
+  Program.Assertions += R.Assertions.size();
+  Program.AssertionsFailed += Failed;
 
   if (ExportName) {
     auto It = R.Values.find(ExportName);
     if (It == R.Values.end()) {
       std::cerr << "fastc: no language or transformation named '"
                 << ExportName << "'\n";
+      WriteMetrics();
       return 2;
     }
     if (It->second.K == FastValue::Kind::Lang)
@@ -289,7 +290,7 @@ int main(int Argc, char **Argv) {
       std::cout << exportSttrProgram(ExportName, *It->second.Trans);
     else
       std::cout << It->second.Tree->str() << "\n";
-    return 0;
+    return WriteMetrics() ? 0 : 2;
   }
 
   if (Dump) {
@@ -335,34 +336,25 @@ int main(int Argc, char **Argv) {
     if (Explain && !A.passed() && A.Explanation)
       std::cout << renderExplanation(S.provenance(), *A.Explanation, Path);
   }
-  unsigned Failed = R.failedAssertions();
   std::cout << R.Assertions.size() << " assertion(s), " << Failed
             << " failed\n";
-  Program.Assertions += R.Assertions.size();
-  Program.AssertionsFailed += Failed;
   // A failed Fast assertion is an incident too: capture the window that
   // led to the failing witness (first incident wins).
   if (Failed != 0)
     S.tracer().recorder().dumpIncident("assertion failure");
-  if (Stats) {
-    const Solver::Stats &Q = S.Solv.stats();
-    std::cout << S.stats().report() << "solver: " << Q.Queries
-              << " queries, " << Q.CacheHits << " cache-hits, "
-              << Q.CoreChecks << " core-checks, " << Q.Z3Checks
-              << " z3-checks, " << Q.FastPathAnswers << " fast-path, "
-              << Q.ScopedChecks << " scoped-checks, " << Q.SubsumptionAnswers
-              << " subsumption-answers\n"
-              << S.tracer().slowQueries().report();
-  }
-  if (StatsJson)
-    std::cout << S.stats().json() << "\n";
+  // --stats and --report read the same snapshot --metrics writes.
+  obs::MetricsSnapshot Snap;
+  if (Stats || ReportPath)
+    engine::collectSessionMetrics(S.engine(), Snap);
+  if (Stats)
+    std::cout << Snap.text() << S.tracer().slowQueries().report();
   if (!WriteMetrics())
     return 2;
 
   if (ReportPath) {
     obs::ReportBuilder Report;
     Report.setTitle(std::string("fast session report: ") + Path);
-    Report.setStatsJson(S.stats().json());
+    Report.setStatsJson(Snap.json());
     Report.setCoverageJson(S.provenance().coverageJson());
     if (ReportEvents)
       Report.setEvents(*ReportEvents);

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The adapter between the session's hot-path statistics structures
-/// (StatsRegistry / Solver::Stats / VmStats, which stay plain structs so
-/// recording remains a bare increment) and the telemetry plane's exposition
-/// model (obs/Metrics.h).  collectSessionMetrics() assembles one
-/// MetricsSnapshot covering:
+/// The one read path from the session's hot-path statistics structures
+/// (StatsRegistry / Solver::Stats / VmStats / ProgramStats, which stay
+/// plain structs so recording remains a bare increment) to output.
+/// collectSessionMetrics() walks each struct's field tables (see
+/// obs/Metrics.h) into one MetricsSnapshot covering:
 ///
 ///   fast_engine_*   per-construction counters (labelled by construction),
 ///                   wall time, and the guard-query / minterm-split
@@ -22,6 +22,10 @@
 ///   fast_program_runs, fast_assertions[_failed]  the Fast driver's
 ///                   program-level counters
 ///   fast_flightrecorder_*  ring-buffer occupancy and drop accounting
+///
+/// Every output renders that snapshot: `fastc --stats` its text(),
+/// `--metrics` and `--report` its exposition, and the benchmark records'
+/// `engine` objects its JSON without timing families.
 ///
 /// MetricsFileFlusher writes that snapshot to a file, once or periodically
 /// from its own thread while the session runs (`fastc --metrics=FILE`, with

@@ -2,42 +2,95 @@
 
 #include "engine/Stats.h"
 
-#include <iomanip>
-#include <sstream>
-
+using namespace fast;
 using namespace fast::engine;
 
-void ConstructionStats::mergeFrom(const ConstructionStats &Other) {
-  Runs += Other.Runs;
-  StatesExplored += Other.StatesExplored;
-  StatesInterned += Other.StatesInterned;
-  RulesEmitted += Other.RulesEmitted;
-  SatQueries += Other.SatQueries;
-  SatCacheHits += Other.SatCacheHits;
-  MintermSplits += Other.MintermSplits;
-  MintermCacheHits += Other.MintermCacheHits;
-  MintermsProduced += Other.MintermsProduced;
-  TrieNodesDecided += Other.TrieNodesDecided;
-  TrieNodeHits += Other.TrieNodeHits;
-  TrieSubsumed += Other.TrieSubsumed;
-  WallMs += Other.WallMs;
-  SolverQueryUs.merge(Other.SolverQueryUs);
-  MintermSplitUs.merge(Other.MintermSplitUs);
+std::span<const obs::CounterField<ConstructionStats>>
+ConstructionStats::counters() {
+  using C = ConstructionStats;
+  static constexpr obs::CounterField<C> Table[] = {
+      {"runs", "Construction entries (ConstructionScope)", &C::Runs},
+      {"states_explored", "Worklist items expanded by Exploration::run",
+       &C::StatesExplored},
+      {"states_interned", "Fresh states created through a StateInterner",
+       &C::StatesInterned},
+      {"rules_emitted", "Output rules produced", &C::RulesEmitted},
+      {"sat_queries", "Guard-satisfiability checks through the GuardCache",
+       &C::SatQueries},
+      {"sat_cache_hits", "Guard checks answered from the GuardCache memo",
+       &C::SatCacheHits},
+      {"minterm_splits", "Minterm enumerations actually computed",
+       &C::MintermSplits},
+      {"minterm_cache_hits",
+       "Minterm enumerations answered from the split index",
+       &C::MintermCacheHits},
+      {"minterms_produced", "Satisfiable regions across all computed splits",
+       &C::MintermsProduced},
+      {"trie_nodes_decided", "Trie region nodes decided",
+       &C::TrieNodesDecided},
+      {"trie_node_hits", "Trie region nodes revisited with a memoized verdict",
+       &C::TrieNodeHits},
+      {"trie_subsumed",
+       "Trie verdicts answered by ancestor-literal subsumption",
+       &C::TrieSubsumed},
+      {"wall_ms", "Inclusive wall time inside the construction (ms)",
+       nullptr, &C::WallMs},
+  };
+  return Table;
 }
 
-void VmStats::mergeFrom(const VmStats &Other) {
-  ProgramsCompiled += Other.ProgramsCompiled;
-  Ineligible += Other.Ineligible;
-  CacheHits += Other.CacheHits;
-  Runs += Other.Runs;
-  FallbackRuns += Other.FallbackRuns;
-  Instructions += Other.Instructions;
-  MemoHits += Other.MemoHits;
-  LookaheadChecks += Other.LookaheadChecks;
-  ArenaNodes += Other.ArenaNodes;
-  InternedNodes += Other.InternedNodes;
-  CompileUs.merge(Other.CompileUs);
-  RunUs.merge(Other.RunUs);
+std::span<const obs::HistogramField<ConstructionStats>>
+ConstructionStats::histograms() {
+  using C = ConstructionStats;
+  static constexpr obs::HistogramField<C> Table[] = {
+      {"solver_query", "GuardCache memo-miss query latency (us)",
+       &C::SolverQueryUs},
+      {"minterm_split", "Computed minterm enumeration latency (us)",
+       &C::MintermSplitUs},
+  };
+  return Table;
+}
+
+std::span<const obs::CounterField<VmStats>> VmStats::counters() {
+  static constexpr obs::CounterField<VmStats> Table[] = {
+      {"programs_compiled", "Programs lowered by vm::compileSttr",
+       &VmStats::ProgramsCompiled},
+      {"ineligible", "Transducers rejected by the eligibility predicate",
+       &VmStats::Ineligible},
+      {"cache_hits", "Program-cache lookups answered without compiling",
+       &VmStats::CacheHits},
+      {"runs", "Transductions evaluated by the VM", &VmStats::Runs},
+      {"fallback_runs", "Transductions that fell back to the interpreter",
+       &VmStats::FallbackRuns},
+      {"instructions", "Opcodes dispatched", &VmStats::Instructions},
+      {"memo_hits", "Results answered from the VM run memo",
+       &VmStats::MemoHits},
+      {"lookahead_checks", "Compiled lookahead rule evaluations",
+       &VmStats::LookaheadChecks},
+      {"arena_nodes", "Output nodes bump-allocated in the arena",
+       &VmStats::ArenaNodes},
+      {"interned_nodes", "TreeRefs materialized by the intern-on-exit pass",
+       &VmStats::InternedNodes},
+  };
+  return Table;
+}
+
+std::span<const obs::HistogramField<VmStats>> VmStats::histograms() {
+  static constexpr obs::HistogramField<VmStats> Table[] = {
+      {"compile", "Per-program compile latency (us)", &VmStats::CompileUs},
+      {"run", "Per-run VM latency (us)", &VmStats::RunUs},
+  };
+  return Table;
+}
+
+std::span<const obs::CounterField<ProgramStats>> ProgramStats::counters() {
+  static constexpr obs::CounterField<ProgramStats> Table[] = {
+      {"assertions", "Assertions evaluated", &ProgramStats::Assertions},
+      {"assertions_failed", "Assertions that failed",
+       &ProgramStats::AssertionsFailed},
+      {"program_runs", "Fast programs evaluated", &ProgramStats::Runs},
+  };
+  return Table;
 }
 
 void StatsRegistry::mergeFrom(const StatsRegistry &Other) {
@@ -52,127 +105,6 @@ ConstructionStats &StatsRegistry::construction(std::string_view Name) {
   if (It == Constructions.end())
     It = Constructions.emplace(std::string(Name), ConstructionStats()).first;
   return It->second;
-}
-
-std::string StatsRegistry::report() const {
-  std::unique_lock<std::mutex> Lock(MapMu);
-  std::ostringstream Out;
-  Out << std::left << std::setw(14) << "construction" << std::right
-      << std::setw(6) << "runs" << std::setw(10) << "explored" << std::setw(10)
-      << "interned" << std::setw(8) << "rules" << std::setw(10) << "sat-q"
-      << std::setw(10) << "sat-hit" << std::setw(8) << "splits" << std::setw(10)
-      << "split-hit" << std::setw(10) << "regions" << std::setw(10)
-      << "trie-new" << std::setw(10) << "trie-hit" << std::setw(10)
-      << "subsumed" << std::setw(11) << "wall-ms" << "\n";
-  for (const auto &[Name, C] : Constructions) {
-    Out << std::left << std::setw(14) << Name << std::right << std::setw(6)
-        << C.Runs << std::setw(10) << C.StatesExplored << std::setw(10)
-        << C.StatesInterned << std::setw(8) << C.RulesEmitted << std::setw(10)
-        << C.SatQueries << std::setw(10) << C.SatCacheHits << std::setw(8)
-        << C.MintermSplits << std::setw(10) << C.MintermCacheHits
-        << std::setw(10) << C.MintermsProduced << std::setw(10)
-        << C.TrieNodesDecided << std::setw(10) << C.TrieNodeHits
-        << std::setw(10) << C.TrieSubsumed << std::setw(11) << std::fixed
-        << std::setprecision(1) << C.WallMs << "\n";
-  }
-
-  // Latency table: only constructions that actually reached the solver.
-  bool AnyLatency = false;
-  for (const auto &[Name, C] : Constructions)
-    AnyLatency |= C.SolverQueryUs.count() != 0 || C.MintermSplitUs.count() != 0;
-  if (AnyLatency) {
-    Out << std::left << std::setw(14) << "latency (us)" << std::right
-        << std::setw(10) << "queries" << std::setw(9) << "q-p50" << std::setw(9)
-        << "q-p95" << std::setw(9) << "q-p99" << std::setw(10) << "q-max"
-        << std::setw(9) << "splits" << std::setw(9) << "s-p50" << std::setw(9)
-        << "s-p95" << std::setw(9) << "s-p99" << std::setw(10) << "s-max"
-        << "\n";
-    for (const auto &[Name, C] : Constructions) {
-      if (C.SolverQueryUs.count() == 0 && C.MintermSplitUs.count() == 0)
-        continue;
-      const obs::LatencyHistogram &Q = C.SolverQueryUs;
-      const obs::LatencyHistogram &S = C.MintermSplitUs;
-      Out << std::left << std::setw(14) << Name << std::right << std::fixed
-          << std::setprecision(0) << std::setw(10) << Q.count() << std::setw(9)
-          << Q.percentileUs(50) << std::setw(9) << Q.percentileUs(95)
-          << std::setw(9) << Q.percentileUs(99) << std::setw(10) << Q.maxUs()
-          << std::setw(9) << S.count() << std::setw(9) << S.percentileUs(50)
-          << std::setw(9) << S.percentileUs(95) << std::setw(9)
-          << S.percentileUs(99) << std::setw(10) << S.maxUs() << "\n";
-    }
-  }
-
-  if (!Vm.empty()) {
-    Out << std::left << std::setw(14) << "vm plane" << std::right
-        << std::setw(10) << "programs" << std::setw(10) << "inelig"
-        << std::setw(10) << "cache-hit" << std::setw(8) << "runs"
-        << std::setw(10) << "fallback" << std::setw(12) << "instrs"
-        << std::setw(10) << "memo-hit" << std::setw(10) << "la-chk"
-        << std::setw(10) << "arena" << std::setw(10) << "interned" << "\n";
-    Out << std::left << std::setw(14) << "" << std::right << std::setw(10)
-        << Vm.ProgramsCompiled << std::setw(10) << Vm.Ineligible
-        << std::setw(10) << Vm.CacheHits << std::setw(8) << Vm.Runs
-        << std::setw(10) << Vm.FallbackRuns << std::setw(12)
-        << Vm.Instructions << std::setw(10) << Vm.MemoHits << std::setw(10)
-        << Vm.LookaheadChecks << std::setw(10) << Vm.ArenaNodes
-        << std::setw(10) << Vm.InternedNodes << "\n";
-    Out << std::left << std::setw(14) << "vm latency(us)" << std::right
-        << std::fixed << std::setprecision(0) << std::setw(10)
-        << "compile" << std::setw(9) << Vm.CompileUs.percentileUs(50)
-        << std::setw(9) << Vm.CompileUs.percentileUs(99) << std::setw(10)
-        << Vm.CompileUs.maxUs() << std::setw(9) << "run" << std::setw(9)
-        << Vm.RunUs.percentileUs(50) << std::setw(9)
-        << Vm.RunUs.percentileUs(95) << std::setw(9)
-        << Vm.RunUs.percentileUs(99) << std::setw(10) << Vm.RunUs.maxUs()
-        << "\n";
-  }
-  return Out.str();
-}
-
-std::string StatsRegistry::json() const {
-  std::unique_lock<std::mutex> Lock(MapMu);
-  std::ostringstream Out;
-  Out << "{";
-  bool First = true;
-  for (const auto &[Name, C] : Constructions) {
-    if (!First)
-      Out << ", ";
-    First = false;
-    Out << "\"" << Name << "\": {"
-        << "\"runs\": " << C.Runs
-        << ", \"states_explored\": " << C.StatesExplored
-        << ", \"states_interned\": " << C.StatesInterned
-        << ", \"rules_emitted\": " << C.RulesEmitted
-        << ", \"sat_queries\": " << C.SatQueries
-        << ", \"sat_cache_hits\": " << C.SatCacheHits
-        << ", \"minterm_splits\": " << C.MintermSplits
-        << ", \"minterm_cache_hits\": " << C.MintermCacheHits
-        << ", \"minterms_produced\": " << C.MintermsProduced
-        << ", \"trie_nodes_decided\": " << C.TrieNodesDecided
-        << ", \"trie_node_hits\": " << C.TrieNodeHits
-        << ", \"trie_subsumed\": " << C.TrieSubsumed
-        << ", \"wall_ms\": " << std::fixed << std::setprecision(3) << C.WallMs
-        << ", \"solver_query_us\": " << C.SolverQueryUs.json()
-        << ", \"minterm_split_us\": " << C.MintermSplitUs.json() << "}";
-  }
-  if (!Vm.empty()) {
-    if (!First)
-      Out << ", ";
-    Out << "\"vm\": {"
-        << "\"programs_compiled\": " << Vm.ProgramsCompiled
-        << ", \"ineligible\": " << Vm.Ineligible
-        << ", \"cache_hits\": " << Vm.CacheHits << ", \"runs\": " << Vm.Runs
-        << ", \"fallback_runs\": " << Vm.FallbackRuns
-        << ", \"instructions\": " << Vm.Instructions
-        << ", \"memo_hits\": " << Vm.MemoHits
-        << ", \"lookahead_checks\": " << Vm.LookaheadChecks
-        << ", \"arena_nodes\": " << Vm.ArenaNodes
-        << ", \"interned_nodes\": " << Vm.InternedNodes
-        << ", \"compile_us\": " << Vm.CompileUs.json()
-        << ", \"run_us\": " << Vm.RunUs.json() << "}";
-  }
-  Out << "}";
-  return Out.str();
 }
 
 ConstructionScope::ConstructionScope(StatsRegistry &Registry,

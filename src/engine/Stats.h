@@ -13,9 +13,10 @@
 /// inside composition) attribute their counters to the innermost active
 /// ConstructionScope.  Besides event counters, each construction keeps
 /// log-scale latency histograms for the guard queries and minterm splits
-/// issued on its behalf (reported as p50/p95/p99).  Surfaced through
-/// Session, printed by `fastc --stats`, emitted as JSON by `fastc
-/// --stats-json` and the benchmarks.
+/// issued on its behalf (reported as p50/p95/p99).  Each struct lists its
+/// counters once, in its field tables (Stats.cpp), which mergeFrom and
+/// collectSessionMetrics walk; every output renders that snapshot (see
+/// engine/MetricsBridge.h).
 ///
 /// When the registry's tracer is set (the SessionEngine wires its own),
 /// every ConstructionScope additionally emits a span to the active tracer
@@ -27,7 +28,7 @@
 #ifndef FAST_ENGINE_STATS_H
 #define FAST_ENGINE_STATS_H
 
-#include "obs/Histogram.h"
+#include "obs/Metrics.h"
 #include "obs/Tracer.h"
 #include "support/RelaxedCell.h"
 
@@ -35,6 +36,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -80,9 +82,16 @@ struct ConstructionStats {
   /// per enumeration.
   obs::LatencyHistogram MintermSplitUs;
 
+  /// The field tables, in exposition order (see obs::CounterField).
+  static std::span<const obs::CounterField<ConstructionStats>> counters();
+  static std::span<const obs::HistogramField<ConstructionStats>>
+  histograms();
+
   /// Accumulates \p Other into this slot (counter sums, histogram merge);
   /// the deterministic join-point merge of per-worker stats shards.
-  void mergeFrom(const ConstructionStats &Other);
+  void mergeFrom(const ConstructionStats &Other) {
+    obs::mergeFields(*this, Other);
+  }
 };
 
 /// Counters for the compiled evaluation data plane (src/vm): program
@@ -117,14 +126,11 @@ struct VmStats {
   /// Per-run VM latency (evaluation plus intern pass).
   obs::LatencyHistogram RunUs;
 
-  /// True when nothing has been recorded (report/json omit the section).
-  bool empty() const {
-    return ProgramsCompiled == 0 && Ineligible == 0 && CacheHits == 0 &&
-           Runs == 0 && FallbackRuns == 0;
-  }
+  static std::span<const obs::CounterField<VmStats>> counters();
+  static std::span<const obs::HistogramField<VmStats>> histograms();
 
   /// Accumulates \p Other into this slot (the worker-shard merge).
-  void mergeFrom(const VmStats &Other);
+  void mergeFrom(const VmStats &Other) { obs::mergeFields(*this, Other); }
 };
 
 /// Program-level counters of the Fast driver (fastc): programs evaluated
@@ -133,6 +139,11 @@ struct ProgramStats {
   RelaxedCell<uint64_t> Runs;
   RelaxedCell<uint64_t> Assertions;
   RelaxedCell<uint64_t> AssertionsFailed;
+
+  static std::span<const obs::CounterField<ProgramStats>> counters();
+  static std::span<const obs::HistogramField<ProgramStats>> histograms() {
+    return {};
+  }
 };
 
 /// The per-session registry, keyed by construction name.
@@ -171,13 +182,6 @@ public:
   /// The session-wide Fast-program slot (the driver records here).
   ProgramStats &program() { return Program; }
   const ProgramStats &program() const { return Program; }
-
-  /// Human-readable tables: counters per construction, then guard-query
-  /// and minterm-split latency percentiles.
-  std::string report() const;
-
-  /// Machine-readable single-line JSON object, keyed by construction name.
-  std::string json() const;
 
   /// Accumulates every construction slot of \p Other into this registry —
   /// the join-point merge of a worker context's stats shard.  Commutative

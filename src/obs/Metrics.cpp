@@ -235,4 +235,27 @@ std::string MetricsSnapshot::json(bool IncludeTiming) const {
   return Out.str();
 }
 
+std::string MetricsSnapshot::text() const {
+  std::ostringstream Out;
+  for (const MetricFamily &F : Families) {
+    Out << F.Name;
+    for (const MetricSample &S : F.Samples) {
+      Out << ' ';
+      for (size_t I = 0; I < S.Labels.size(); ++I)
+        Out << (I ? "," : "") << S.Labels[I].second;
+      if (!S.Labels.empty())
+        Out << '=';
+      if (F.Kind != MetricKind::Histogram)
+        Out << formatValue(S.Value);
+      else
+        Out << S.Hist.count() << '/' << formatValue(S.Hist.percentileUs(50))
+            << '/' << formatValue(S.Hist.percentileUs(95)) << '/'
+            << formatValue(S.Hist.percentileUs(99)) << '/'
+            << formatValue(S.Hist.maxUs());
+    }
+    Out << '\n';
+  }
+  return Out.str();
+}
+
 } // namespace fast::obs

@@ -15,8 +15,9 @@
 ///   <script type="application/json" id="fast-report-data"> {...} </script>
 ///
 /// with keys "title", "events" (Chrome trace events), "stats" (the
-/// StatsRegistry json()), "coverage" (ProvenanceStore::coverageJson),
-/// "assertions", "witnesses" (rendered explanations), and "slow_queries".
+/// session's MetricsSnapshot json()), "coverage"
+/// (ProvenanceStore::coverageJson), "assertions", "witnesses" (rendered
+/// explanations), and "slow_queries".
 /// A small inline script renders the island; tools/report_check validates
 /// it offline with checks/JsonCheck.
 ///
@@ -74,7 +75,7 @@ class ReportBuilder {
 public:
   void setTitle(std::string Title) { this->Title = std::move(Title); }
   /// \p Json must be a complete JSON value (object/array), e.g. the
-  /// StatsRegistry json() or ProvenanceStore coverageJson().
+  /// MetricsSnapshot json() or ProvenanceStore coverageJson().
   void setStatsJson(std::string Json) { StatsJson = std::move(Json); }
   void setCoverageJson(std::string Json) { CoverageJson = std::move(Json); }
   /// One rendered Chrome trace-event object per entry (renderEventJson).

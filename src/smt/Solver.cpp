@@ -230,22 +230,43 @@ Solver::~Solver() = default;
 
 SolverExtension::~SolverExtension() = default;
 
-void Solver::Stats::mergeFrom(const Stats &Other) {
-  Queries += Other.Queries;
-  CacheHits += Other.CacheHits;
-  SatAnswers += Other.SatAnswers;
-  UnsatAnswers += Other.UnsatAnswers;
-  UnknownAnswers += Other.UnknownAnswers;
-  FastPathAnswers += Other.FastPathAnswers;
-  TrivialAnswers += Other.TrivialAnswers;
-  CoreChecks += Other.CoreChecks;
-  Z3Checks += Other.Z3Checks;
-  Z3ModelChecks += Other.Z3ModelChecks;
-  ScopedChecks += Other.ScopedChecks;
-  SubsumptionAnswers += Other.SubsumptionAnswers;
-  ImplicationQueries += Other.ImplicationQueries;
-  ImplicationCacheHits += Other.ImplicationCacheHits;
-  Z3CheckUs.merge(Other.Z3CheckUs);
+std::span<const obs::CounterField<Solver::Stats>> Solver::Stats::counters() {
+  static constexpr obs::CounterField<Stats> Table[] = {
+      {"queries", "isSat entry points", &Stats::Queries},
+      {"cache_hits", "Queries answered from the sat/validity cache",
+       &Stats::CacheHits},
+      {"sat_answers", "Satisfiable answers", &Stats::SatAnswers},
+      {"unsat_answers", "Unsatisfiable answers", &Stats::UnsatAnswers},
+      {"unknown_answers", "Unknown answers", &Stats::UnknownAnswers},
+      {"fast_path_answers", "Queries answered by the built-in procedure",
+       &Stats::FastPathAnswers},
+      {"trivial_answers", "Queries that were the constant true/false term",
+       &Stats::TrivialAnswers},
+      {"core_checks", "Queries that reached a decision core",
+       &Stats::CoreChecks},
+      {"z3_checks", "Z3 check() invocations", &Stats::Z3Checks},
+      {"z3_model_checks", "Z3 checks issued on behalf of getModel()",
+       &Stats::Z3ModelChecks},
+      {"scoped_checks", "Minterm-trie region checks (checkSat calls)",
+       &Stats::ScopedChecks},
+      {"subsumption_answers",
+       "Queries answered by the syntactic implication check",
+       &Stats::SubsumptionAnswers},
+      {"implication_queries", "implies() entry points",
+       &Stats::ImplicationQueries},
+      {"implication_cache_hits",
+       "impliesFast() calls answered from the implication cache",
+       &Stats::ImplicationCacheHits},
+  };
+  return Table;
+}
+
+std::span<const obs::HistogramField<Solver::Stats>>
+Solver::Stats::histograms() {
+  static constexpr obs::HistogramField<Stats> Table[] = {
+      {"z3_check", "Individual Z3 check() latency (us)", &Stats::Z3CheckUs},
+  };
+  return Table;
 }
 
 void Solver::setCacheEnabled(bool Enabled) {

@@ -20,8 +20,8 @@
 #ifndef FAST_SMT_SOLVER_H
 #define FAST_SMT_SOLVER_H
 
-#include "obs/Histogram.h"
 #include "obs/Literal.h"
+#include "obs/Metrics.h"
 #include "smt/Term.h"
 #include "support/Hashing.h"
 #include "support/RelaxedCell.h"
@@ -105,7 +105,7 @@ public:
   /// Returns a model of \p Pred, or nullopt if unsat (or unknown).
   std::optional<AttrModel> getModel(TermRef Pred);
 
-  /// Query counters, reported by the ablation benchmark.
+  /// Query counters, listed once in their field tables (Solver.cpp).
   struct Stats {
     RelaxedCell<uint64_t> Queries;
     RelaxedCell<uint64_t> CacheHits;
@@ -132,15 +132,20 @@ public:
     RelaxedCell<uint64_t> SubsumptionAnswers;
     /// implies() entry points.
     RelaxedCell<uint64_t> ImplicationQueries;
-    /// ... of which were answered from the implication cache.
+    /// impliesFast() calls answered from the implication cache, whoever
+    /// made them: implies(), minterm-trie descent or conjunct-pair
+    /// refutation.  Not a subset of ImplicationQueries.
     RelaxedCell<uint64_t> ImplicationCacheHits;
     /// Latency of individual Z3 check() invocations (sat and model
     /// checks), per call; percentile source for the benchmarks.
     obs::LatencyHistogram Z3CheckUs;
 
+    static std::span<const obs::CounterField<Stats>> counters();
+    static std::span<const obs::HistogramField<Stats>> histograms();
+
     /// Accumulates \p Other (counter sums, histogram merge); the
     /// join-point merge of a worker solver's counters into the base's.
-    void mergeFrom(const Stats &Other);
+    void mergeFrom(const Stats &Other) { obs::mergeFields(*this, Other); }
   };
   const Stats &stats() const { return Counters; }
   void resetStats() { Counters = Stats(); }

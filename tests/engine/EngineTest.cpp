@@ -11,6 +11,7 @@
 
 #include "engine/Engine.h"
 #include "engine/Exploration.h"
+#include "engine/MetricsBridge.h"
 #include "engine/StateInterner.h"
 
 #include <cstdlib>
@@ -248,11 +249,16 @@ TEST_F(EngineIntegrationTest, StateBudgetFailsConstructionGracefully) {
 TEST_F(EngineIntegrationTest, StatsReportAndJsonMentionConstructions) {
   TreeLanguage L = makeAllPositiveLang(S, Sig);
   normalize(S.Solv, L);
-  std::string Report = S.stats().report();
-  EXPECT_NE(Report.find("normalize"), std::string::npos);
-  std::string Json = S.stats().json();
+  obs::MetricsSnapshot Snap;
+  collectSessionMetrics(S.engine(), Snap);
+  std::string Text = Snap.text();
+  EXPECT_NE(Text.find("\nfast_engine_states_explored_total "),
+            std::string::npos);
+  EXPECT_NE(Text.find(" normalize="), std::string::npos);
+  std::string Json = Snap.json();
   EXPECT_NE(Json.find("\"normalize\""), std::string::npos);
-  EXPECT_NE(Json.find("\"states_explored\""), std::string::npos);
+  EXPECT_NE(Json.find("\"fast_engine_states_explored_total\""),
+            std::string::npos);
 }
 
 TEST(StatsRegistryTest, ResetDuringActiveScopeKeepsReferencesValid) {

@@ -1,10 +1,10 @@
 //===- tests/obs/MetricsTest.cpp - Telemetry plane: metrics ---------------===//
 //
 // Covers MetricsSnapshot exposition (Prometheus text v0.0.4, the versioned
-// JSON document, timing-family exclusion), the bridged session snapshot's
-// subsystem coverage, its -j1 == -j4 determinism, and the periodic file
-// flusher writing valid, monotone snapshots while a -j 4 run mutates the
-// counters it reads.
+// JSON document, timing-family exclusion, the --stats text), the bridged
+// session snapshot's subsystem coverage, its -j1 == -j4 determinism, and
+// the periodic file flusher writing valid, monotone snapshots while a -j 4
+// run mutates the counters it reads.
 //
 //===----------------------------------------------------------------------===//
 
@@ -132,6 +132,25 @@ TEST(MetricsSnapshotTest, JsonExpositionParses) {
   for (const auto &B : Sample.find("buckets")->Items)
     Sum += B.Num;
   EXPECT_EQ(Sum, 2);
+}
+
+TEST(MetricsSnapshotTest, TextPrintsOneLinePerFamily) {
+  MetricsSnapshot Snap;
+  Snap.addCounter("fast_runs_total", "Total runs", 3);
+  MetricFamily &F = Snap.family("fast_steps_total", MetricKind::Counter,
+                                "Steps by phase");
+  F.Samples.push_back({{{"phase", "clean"}}, 13, {}});
+  F.Samples.push_back({{{"phase", "determinize"}}, 20, {}});
+  LatencyHistogram H;
+  for (int I = 0; I < 5; ++I) {
+    H.record(3);      // bucket [2,4)us: p50 is its midpoint 3
+    H.record(100.25); // bucket [64,128)us: p95 and p99 are its midpoint 96
+  }
+  Snap.addHistogram("fast_op_us", "Op latency", H);
+
+  EXPECT_EQ(Snap.text(), "fast_runs_total 3\n"
+                         "fast_steps_total clean=13 determinize=20\n"
+                         "fast_op_us 10/3/96/96/100.250\n");
 }
 
 TEST(StatsShimTest, SnapshotCoversAllSubsystems) {

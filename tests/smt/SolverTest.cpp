@@ -219,6 +219,14 @@ TEST_F(IncrementalSolverTest, ImpliesAnsweredBySubsumptionAndCached) {
   uint64_t HitsBefore = S.stats().ImplicationCacheHits;
   EXPECT_TRUE(S.implies(intLt(X, 4), B));
   EXPECT_GT(S.stats().ImplicationCacheHits, HitsBefore);
+
+  // So does a repeated impliesFast call (the trie's entry point), which is
+  // no implies() query: the hit counter is not a subset of the queries.
+  uint64_t QueriesBefore = S.stats().ImplicationQueries;
+  HitsBefore = S.stats().ImplicationCacheHits;
+  EXPECT_EQ(S.impliesFast(intLt(X, 4), B), Trilean::True);
+  EXPECT_GT(S.stats().ImplicationCacheHits, HitsBefore);
+  EXPECT_EQ(S.stats().ImplicationQueries, QueriesBefore);
 }
 
 TEST_F(IncrementalSolverTest, ImpliesOutsideFragmentStillCorrect) {

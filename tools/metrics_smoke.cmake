@@ -15,7 +15,9 @@
 #    leaves a file metrics_check accepts, and leaves no FILE.tmp behind.
 #    When two writers share FILE.tmp, one rename can carry off the other's
 #    file and the loser exits 2.  That happened in 23 of 200 runs on a
-#    4-core host, so 50 runs catch it with probability above 0.99.
+#    4-core host, so 50 runs catch it with probability above 0.99;
+#  * every exit writes — `--export NAME` returns before the assertion
+#    report, and must still exit 0 and leave a file metrics_check accepts.
 #
 # Invoked by the metrics.smoke ctest as
 #   cmake -DFASTC=... -DMETRICS_CHECK=... -DPROGRAM=... -DLANGS_PROGRAM=...
@@ -137,3 +139,28 @@ foreach(Iteration RANGE 1 ${PERIODIC_RUNS})
 endforeach()
 message(STATUS "periodic flush: ${PERIODIC_RUNS} runs at "
                "FAST_METRICS_INTERVAL_MS=1 -j 4, one writer each")
+
+# Every exit after the run writes the file, the --export exit included.
+set(ExportFile "${OUT_DIR}/export.prom")
+file(REMOVE "${ExportFile}")
+execute_process(
+  COMMAND "${FASTC}" "--metrics=${ExportFile}" --export sani "${PROGRAM}"
+  RESULT_VARIABLE RunResult
+  OUTPUT_VARIABLE RunOut
+  ERROR_VARIABLE RunErr)
+if(NOT RunResult EQUAL 0)
+  message(FATAL_ERROR
+    "fastc --metrics=${ExportFile} --export sani failed "
+    "(exit ${RunResult}):\n${RunErr}")
+endif()
+execute_process(
+  COMMAND "${METRICS_CHECK}" "${ExportFile}"
+  RESULT_VARIABLE CheckResult
+  OUTPUT_VARIABLE CheckOut
+  ERROR_VARIABLE CheckErr)
+if(NOT CheckResult EQUAL 0)
+  message(FATAL_ERROR
+    "--export run: metrics_check rejected ${ExportFile} "
+    "(exit ${CheckResult}):\n${CheckOut}${CheckErr}")
+endif()
+message(STATUS "export.prom: ${CheckOut}")

@@ -1,5 +1,7 @@
 # Runs fastc with tracing enabled on a real program, then validates the
-# produced trace with trace_check.  Invoked by the obs.smoke ctest as
+# produced trace with trace_check and the --stats text printed alongside
+# it (one line per metric family), and checks that the removed JSON stats
+# flag is a usage error.  Invoked by the obs.smoke ctest as
 #   cmake -DFASTC=... -DTRACE_CHECK=... -DPROGRAM=... -DOUT_DIR=... -P obs_smoke.cmake
 #
 # sanitizer.fast intentionally fails one assertion, so fastc exiting 1 is
@@ -41,8 +43,27 @@ foreach(Trace obs_smoke.json obs_smoke.jsonl)
       "trace_check summary for ${TraceFile} lacks the delta/monotonicity "
       "confirmation:\n${CheckOut}")
   endif()
+  # --stats prints the metrics snapshot, one line per family.
+  foreach(Family fast_engine_states_explored_total fast_solver_queries_total
+                 fast_vm_runs_total)
+    if(NOT RunOut MATCHES "(^|\n)${Family} [^\n]*[0-9]")
+      message(FATAL_ERROR
+        "fastc --stats printed no ${Family} line:\n${RunOut}")
+    endif()
+  endforeach()
   message(STATUS "${Trace}: ${CheckOut}")
 endforeach()
+
+# The JSON stats flag is gone: --metrics=FILE.json carries a superset.
+set(RemovedFlag --stats-json)
+execute_process(
+  COMMAND "${FASTC}" ${RemovedFlag} "${PROGRAM}"
+  RESULT_VARIABLE RunResult
+  OUTPUT_QUIET
+  ERROR_QUIET)
+if(NOT RunResult EQUAL 2)
+  message(FATAL_ERROR "fastc ${RemovedFlag} exited ${RunResult}, not 2")
+endif()
 
 # Flight-recorder leg: force a state-budget exhaustion so the engine dumps
 # the ring at the incident, then validate the dump with trace_check's
