@@ -12,7 +12,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "apps/ArTaggers.h"
 #include "apps/Deforestation.h"
 #include "apps/Html.h"
 #include "transducers/Run.h"
@@ -161,63 +160,6 @@ void BM_SolverIsSat(benchmark::State &State) {
     benchmark::DoNotOptimize(S.Solv.isSat(Pred));
 }
 BENCHMARK(BM_SolverIsSat)->Arg(0)->Arg(1);
-
-/// Telemetry plane A/B on the shrunk Figure 6 sweep: range(0) == 0 runs
-/// with the flight recorder disarmed (one relaxed load per emit site),
-/// 1 with it armed (timestamp + 64-byte ring store per event).  The two
-/// records land side by side in BENCH_micro.json; bench/telemetry_overhead
-/// gates their delta.
-void BM_Fig6Telemetry(benchmark::State &State) {
-  const bool Armed = State.range(0) != 0;
-  constexpr unsigned Taggers = 6;
-  uint64_t FrEvents = 0;
-  for (auto _ : State) {
-    State.PauseTiming();
-    Session S;
-    if (Armed)
-      S.tracer().armRecorder("", 1u << 14); // record-only ring
-    ar::ArOptions Options;
-    Options.NumTaggers = Taggers;
-    ar::ArWorkload W = ar::generateArWorkload(S, /*Seed=*/2014, Options);
-    State.ResumeTiming();
-    for (unsigned I = 0; I < Taggers; ++I)
-      for (unsigned J = I + 1; J < Taggers; ++J)
-        benchmark::DoNotOptimize(ar::checkConflict(S, W, I, J).Conflict);
-    State.PauseTiming();
-    FrEvents = S.tracer().recorder().recordedCount();
-    State.ResumeTiming();
-  }
-  State.counters["fr_events"] = benchmark::Counter(
-      static_cast<double>(FrEvents));
-}
-BENCHMARK(BM_Fig6Telemetry)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-/// Telemetry plane A/B on the shrunk Figure 7 pipeline (compose + run).
-void BM_Fig7Telemetry(benchmark::State &State) {
-  const bool Armed = State.range(0) != 0;
-  constexpr unsigned Pipeline = 32;
-  uint64_t FrEvents = 0;
-  for (auto _ : State) {
-    State.PauseTiming();
-    Session S;
-    if (Armed)
-      S.tracer().armRecorder("", 1u << 14);
-    SignatureRef Sig = defo::listSignature();
-    TreeRef Input = defo::randomList(S, Sig, 1024, /*Seed=*/2014);
-    std::vector<std::shared_ptr<Sttr>> Stages;
-    for (unsigned I = 0; I < Pipeline; ++I)
-      Stages.push_back(defo::makeMapCaesar(S, Sig));
-    State.ResumeTiming();
-    std::shared_ptr<Sttr> Fused = defo::composePipeline(S, Stages);
-    benchmark::DoNotOptimize(defo::runComposed(S, *Fused, Input));
-    State.PauseTiming();
-    FrEvents = S.tracer().recorder().recordedCount();
-    State.ResumeTiming();
-  }
-  State.counters["fr_events"] = benchmark::Counter(
-      static_cast<double>(FrEvents));
-}
-BENCHMARK(BM_Fig7Telemetry)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// Guard evaluation (no solver) on a concrete label.
 void BM_EvalGuard(benchmark::State &State) {

@@ -136,23 +136,23 @@ Measurement measure(const char *Workload, WorkloadFn Run,
   return M;
 }
 
+/// Solver fields come from Solver::Stats' field tables, under their
+/// --metrics keys; MintermTrie::Stats has no table, so its four fields
+/// are listed here.
 std::string statsJson(const Measurement &M) {
   std::ostringstream Out;
-  Out << "{\"queries\":" << M.Solv.Queries
-      << ",\"cache_hits\":" << M.Solv.CacheHits
-      << ",\"trivial\":" << M.Solv.TrivialAnswers
-      << ",\"fast_path\":" << M.Solv.FastPathAnswers
-      << ",\"core_checks\":" << M.Solv.CoreChecks
-      << ",\"z3_checks\":" << M.Solv.Z3Checks
-      << ",\"z3_model_checks\":" << M.Solv.Z3ModelChecks
-      << ",\"scoped_checks\":" << M.Solv.ScopedChecks
-      << ",\"subsumption_answers\":" << M.Solv.SubsumptionAnswers
-      << ",\"implication_queries\":" << M.Solv.ImplicationQueries
-      << ",\"trie_nodes_decided\":" << M.Trie.NodesDecided
+  Out << "{";
+  for (const obs::CounterField<Solver::Stats> &F : Solver::Stats::counters())
+    Out << "\"" << F.Key << "\":" << static_cast<uint64_t>(F.value(M.Solv))
+        << ",";
+  Out << "\"trie_nodes_decided\":" << M.Trie.NodesDecided
       << ",\"trie_node_hits\":" << M.Trie.NodeHits
       << ",\"trie_subsumed\":" << M.Trie.SubsumptionAnswers
-      << ",\"trie_split_hits\":" << M.Trie.SplitHits
-      << ",\"z3_check_us\":" << M.Solv.Z3CheckUs.json() << "}";
+      << ",\"trie_split_hits\":" << M.Trie.SplitHits;
+  for (const obs::HistogramField<Solver::Stats> &H :
+       Solver::Stats::histograms())
+    Out << ",\"" << H.Key << "_us\":" << (M.Solv.*H.Member).json();
+  Out << "}";
   return Out.str();
 }
 

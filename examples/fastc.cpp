@@ -4,8 +4,7 @@
 // reports every assertion with its witness when one fails.
 //
 // Usage:  fastc [--dump] [--emit=vm] [--stats] [--metrics=FILE]
-//               [--flight-recorder=FILE] [--max-states=N] [--trace=FILE]
-//               [--explain] [--report=FILE] [--progress[=MS]]
+//               [--max-states=N] [--trace=FILE] [--explain]
 //               [--export NAME] [-j N] <program.fast>
 //   --dump         also print every compiled language automaton and
 //                  transformation (states, rules, guards).
@@ -18,32 +17,24 @@
 //                  snapshot, one line per family under its --metrics
 //                  name (per-construction engine counters, solver and VM
 //                  counters, latency histograms as n/p50/p95/p99/max),
-//                  followed by the slowest solver queries of the session.
+//                  followed by the slowest solver queries of the session;
+//                  also when an exhausted budget or another error stops
+//                  the run, but never beside --export's program.
 //   --metrics=FILE write the session's unified metrics snapshot (engine,
-//                  solver, VM, flight-recorder, and program counters) on
-//                  every exit after the program ran, --export included:
-//                  FILE ending in ".json" gets the versioned JSON
-//                  document, anything else the Prometheus text exposition
-//                  (v0.0.4).  FAST_METRICS in the environment is the
-//                  flag-less equivalent.  With FAST_METRICS_INTERVAL_MS=MS
+//                  solver, VM, and program counters) on every exit after
+//                  the program ran, --export included: FILE ending in
+//                  ".json" gets the versioned JSON document, anything
+//                  else the Prometheus text exposition (v0.0.4).
+//                  FAST_METRICS in the environment is the flag-less
+//                  equivalent.  With FAST_METRICS_INTERVAL_MS=MS
 //                  a flusher thread also rewrites FILE every MS
 //                  milliseconds while the program runs.  Every write goes
 //                  to FILE.tmp and is renamed over FILE, so a reader never
 //                  sees a partial document and a killed run never leaves
 //                  one.
-//   --flight-recorder=FILE
-//                  arm the always-on incident ring buffer (last ~64K
-//                  telemetry events; FAST_FLIGHT_RECORDER_EVENTS overrides
-//                  the budget).  The ring is dumped to FILE as a
-//                  Chrome-trace JSON file on exploration budget
-//                  exhaustion, assertion failure, or uncaught exception —
-//                  or at exit when the run stays healthy.  The first
-//                  incident wins; FAST_FLIGHT_RECORDER=FILE is the
-//                  environment equivalent.
 //   --max-states=N cap every construction's exploration at N distinct
 //                  states (the engine's MaxStates budget); exceeding it
-//                  stops the run with an error (and an incident dump when
-//                  the flight recorder is armed).
+//                  stops the run with an error.
 //   --trace=FILE   record a trace of the run: construction spans,
 //                  exploration batches, minterm splits, and individual
 //                  solver checks.  FILE ending in ".jsonl" streams one
@@ -57,14 +48,6 @@
 //                  `trans` rules (file:line:col) the fired rule descends
 //                  from.  Also reports declared rules that never fired as
 //                  dead-rule warnings.
-//   --report=FILE  write a single-file HTML session report embedding the
-//                  span timeline, the metrics snapshot as JSON, the
-//                  slow-query log, rule coverage, and every explained
-//                  witness (implies provenance recording).
-//   --progress[=MS] print a heartbeat line to stderr while long
-//                  explorations run (states explored, frontier,
-//                  states/sec); MS overrides the heartbeat cadence in
-//                  milliseconds (0 = every exploration step).
 //   --export NAME  print the named language/transformation as a
 //                  standalone, recompilable Fast program.
 //   -j N           evaluate assertions in parallel over N worker threads
@@ -81,7 +64,6 @@
 #include "fast/Explain.h"
 #include "fast/Export.h"
 #include "fast/Fast.h"
-#include "obs/Report.h"
 #include "transducers/Parallel.h"
 #include "vm/Vm.h"
 
@@ -91,22 +73,28 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
-#include <string_view>
 
 using namespace fast;
+
+namespace {
+
+/// --stats: the snapshot --metrics writes, then the slow-query log.
+void printStats(Session &S) {
+  obs::MetricsSnapshot Snap;
+  engine::collectSessionMetrics(S.engine(), Snap);
+  std::cout << Snap.text() << S.tracer().slowQueries().report();
+}
+
+} // namespace
 
 int main(int Argc, char **Argv) {
   bool Dump = false;
   bool EmitVm = false;
   bool Stats = false;
-  bool Progress = false;
   bool Explain = false;
-  long ProgressMs = -1;
   const char *TracePath = nullptr;
-  const char *ReportPath = nullptr;
   const char *ExportName = nullptr;
   const char *MetricsPath = nullptr;
-  const char *FlightRecorderPath = nullptr;
   long MaxStates = -1;
   const char *Path = nullptr;
   long Jobs = -1; // -1 = sequential (no -j); 0 = one per hardware thread.
@@ -118,24 +106,12 @@ int main(int Argc, char **Argv) {
       EmitVm = true;
     else if (std::strcmp(Argv[I], "--stats") == 0)
       Stats = true;
-    else if (std::strcmp(Argv[I], "--progress") == 0)
-      Progress = true;
-    else if (std::strncmp(Argv[I], "--progress=", 11) == 0) {
-      Progress = true;
-      char *End = nullptr;
-      ProgressMs = std::strtol(Argv[I] + 11, &End, 10);
-      if (End == Argv[I] + 11 || *End != '\0' || ProgressMs < 0)
-        Bad = true;
-    } else if (std::strcmp(Argv[I], "--explain") == 0)
+    else if (std::strcmp(Argv[I], "--explain") == 0)
       Explain = true;
-    else if (std::strncmp(Argv[I], "--report=", 9) == 0)
-      ReportPath = Argv[I] + 9;
     else if (std::strncmp(Argv[I], "--trace=", 8) == 0)
       TracePath = Argv[I] + 8;
     else if (std::strncmp(Argv[I], "--metrics=", 10) == 0)
       MetricsPath = Argv[I] + 10;
-    else if (std::strncmp(Argv[I], "--flight-recorder=", 18) == 0)
-      FlightRecorderPath = Argv[I] + 18;
     else if (std::strncmp(Argv[I], "--max-states=", 13) == 0) {
       char *End = nullptr;
       MaxStates = std::strtol(Argv[I] + 13, &End, 10);
@@ -158,10 +134,8 @@ int main(int Argc, char **Argv) {
   }
   if (!Path || Bad) {
     std::cerr << "usage: fastc [--dump] [--emit=vm] [--stats] "
-                 "[--metrics=FILE] [--flight-recorder=FILE] "
-                 "[--max-states=N] [--trace=FILE] [--explain] "
-                 "[--report=FILE] [--progress[=MS]] [--export NAME] "
-                 "[-j N] <program.fast>\n";
+                 "[--metrics=FILE] [--max-states=N] [--trace=FILE] "
+                 "[--explain] [--export NAME] [-j N] <program.fast>\n";
     return 2;
   }
   std::ifstream File(Path);
@@ -173,39 +147,12 @@ int main(int Argc, char **Argv) {
   Buffer << File.rdbuf();
 
   Session S;
-  // The report embeds the span timeline, so it always captures events in
-  // memory; with --trace too, a tee writes the file alongside.
-  std::shared_ptr<std::vector<std::string>> ReportEvents;
-  if (ReportPath) {
-    auto Memory = std::make_unique<obs::MemoryTraceSink>();
-    ReportEvents = Memory->storage();
-    if (TracePath) {
-      std::unique_ptr<obs::TraceSink> FileSink =
-          obs::makeFileTraceSink(TracePath);
-      if (!FileSink) {
-        std::cerr << "fastc: cannot open trace file '" << TracePath << "'\n";
-        return 2;
-      }
-      S.tracer().setSink(std::make_unique<obs::TeeTraceSink>(
-          std::move(FileSink), std::move(Memory)));
-    } else {
-      S.tracer().setSink(std::move(Memory));
-    }
-  } else if (TracePath && !S.tracer().openTrace(TracePath)) {
+  if (TracePath && !S.tracer().openTrace(TracePath)) {
     std::cerr << "fastc: cannot open trace file '" << TracePath << "'\n";
     return 2;
   }
-  if (Progress)
-    S.tracer().setProgressStream(&std::cerr);
-  if (ProgressMs >= 0)
-    S.tracer().ProgressIntervalMs = static_cast<unsigned>(ProgressMs);
-  if (Explain || ReportPath)
+  if (Explain)
     S.provenance().setEnabled(true);
-  // The flag overrides any FAST_FLIGHT_RECORDER arming the engine's
-  // env configuration already applied; the event budget stays an env knob
-  // (FAST_FLIGHT_RECORDER_EVENTS, read by armRecorder).
-  if (FlightRecorderPath)
-    S.tracer().armRecorder(FlightRecorderPath);
   if (!MetricsPath)
     if (const char *Env = std::getenv("FAST_METRICS"); Env && *Env)
       MetricsPath = Env;
@@ -251,20 +198,19 @@ int main(int Argc, char **Argv) {
     R = runFastProgram(S, Buffer.str(), RunOpts);
   } catch (const std::exception &E) {
     // An escaping exception (e.g. an ExplorationError from an exhausted
-    // budget) is an incident: freeze the flight-recorder window first.
-    // Exhaustion inside the engine already dumped with a precise reason;
-    // dump-once semantics make this a fallback, not an overwrite.
-    S.tracer().recorder().dumpIncident(std::string("uncaught exception: ") +
-                                       E.what());
-    if (TracePath || ReportPath)
+    // budget) still gets --stats: the counters and the slow-query log say
+    // what the run was doing when it stopped.
+    if (TracePath)
       S.tracer().closeTrace();
     ++Program.Runs;
     WriteMetrics();
     std::cerr << "fastc: " << E.what() << "\n";
+    if (Stats && !ExportName)
+      printStats(S);
     return 1;
   }
   ++Program.Runs;
-  if (TracePath || ReportPath)
+  if (TracePath)
     S.tracer().closeTrace();
   if (!R.DiagText.empty())
     std::cerr << R.DiagText;
@@ -338,42 +284,9 @@ int main(int Argc, char **Argv) {
   }
   std::cout << R.Assertions.size() << " assertion(s), " << Failed
             << " failed\n";
-  // A failed Fast assertion is an incident too: capture the window that
-  // led to the failing witness (first incident wins).
-  if (Failed != 0)
-    S.tracer().recorder().dumpIncident("assertion failure");
-  // --stats and --report read the same snapshot --metrics writes.
-  obs::MetricsSnapshot Snap;
-  if (Stats || ReportPath)
-    engine::collectSessionMetrics(S.engine(), Snap);
   if (Stats)
-    std::cout << Snap.text() << S.tracer().slowQueries().report();
+    printStats(S);
   if (!WriteMetrics())
     return 2;
-
-  if (ReportPath) {
-    obs::ReportBuilder Report;
-    Report.setTitle(std::string("fast session report: ") + Path);
-    Report.setStatsJson(Snap.json());
-    Report.setCoverageJson(S.provenance().coverageJson());
-    if (ReportEvents)
-      Report.setEvents(*ReportEvents);
-    Report.setSlowQueryText(S.tracer().slowQueries().report());
-    for (const AssertionOutcome &A : R.Assertions) {
-      Report.addAssertion(std::string(Path) + ":" + A.Loc.str(), A.Expected,
-                          A.passed(), A.Detail);
-      if (!A.passed() && A.Explanation)
-        Report.addWitness("assert at " + std::string(Path) + ":" +
-                              A.Loc.str(),
-                          renderExplanation(S.provenance(), *A.Explanation,
-                                            Path));
-    }
-    std::ofstream Out(ReportPath, std::ios::trunc);
-    if (!Out) {
-      std::cerr << "fastc: cannot open report file '" << ReportPath << "'\n";
-      return 2;
-    }
-    Out << Report.html();
-  }
   return Failed == 0 ? 0 : 1;
 }

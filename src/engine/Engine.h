@@ -16,8 +16,8 @@
 ///
 /// Construction wires the tracer through the stack: the Stats registry
 /// reports construction spans to it, the Solver reports individual query
-/// latencies and slow queries, and FAST_TRACE / FAST_PROGRESS in the
-/// environment attach a sink / heartbeat stream without code changes.
+/// latencies and slow queries, and FAST_TRACE in the environment attaches
+/// a sink without code changes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,10 +41,10 @@ public:
   /// engine's caches/stats even if an extension is moved between solvers.
   static SessionEngine &of(Solver &Solv);
 
-  /// \p ConfigureFromEnv applies FAST_TRACE / FAST_PROGRESS to the new
-  /// tracer; worker contexts of a parallel run pass false, because the
-  /// base session already owns the trace file and workers buffer their
-  /// events for replay into it instead.
+  /// \p ConfigureFromEnv applies FAST_TRACE to the new tracer; worker
+  /// contexts of a parallel run pass false, because the base session
+  /// already owns the trace file and workers buffer their events for
+  /// replay into it instead.
   explicit SessionEngine(Solver &Solv, bool ConfigureFromEnv = true)
       : Solv(Solv), Guards(Solv, Stats) {
     if (ConfigureFromEnv)
@@ -56,9 +56,8 @@ public:
 
   Solver &Solv;
   StatsRegistry Stats;
-  /// Session tracing/profiling hub (spans, flight-recorder ring, slow-query
-  /// log, progress heartbeat); inactive until a sink or the ring is
-  /// attached.
+  /// Session tracing/profiling hub (spans, slow-query log); inactive
+  /// until a sink is attached.
   obs::Tracer Trace;
   GuardCache Guards;
   /// Budgets applied by every construction's Exploration; unlimited by

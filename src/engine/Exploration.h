@@ -18,10 +18,9 @@
 /// With the session tracer attached, a run additionally emits
 /// "explore.batch" spans (one per BatchSize expansions, so long fixpoints
 /// are visible as a sequence of batches in the trace, each annotated with
-/// the frontier size) and periodic progress heartbeats — instant events
-/// plus optional stderr lines — reporting states explored, frontier size,
-/// and throughput.  Tracing off, the only per-step cost is one null check;
-/// the clock is consulted every BatchSize steps at most.
+/// the frontier size) and, when a budget stops it, an
+/// "exploration.stopped" instant.  Tracing off, the only per-step cost is
+/// one null check; the clock is consulted every BatchSize steps at most.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +49,7 @@ struct ExplorationLimits {
   /// Maximum items expanded (0 = unlimited).
   size_t MaxSteps = 0;
   /// Wall-clock bound on the run (zero = unlimited).  The deadline is
-  /// polled on the same batched stride as the progress heartbeat — every
+  /// polled on the same batched stride as the trace's batch spans — every
   /// BatchSize expansions at most, never per step.
   std::chrono::milliseconds Timeout{0};
   /// Polled before each expansion; returning true aborts the run.
@@ -86,7 +85,7 @@ private:
 /// breadth-first order and produce small witnesses/names first).
 class Exploration {
 public:
-  /// Expansions per trace batch span / per clock poll for heartbeats.
+  /// Expansions per trace batch span / per deadline poll.
   static constexpr size_t BatchSize = 256;
 
   explicit Exploration(ConstructionStats *Stats = nullptr,
@@ -126,11 +125,12 @@ public:
     auto Deadline = std::chrono::steady_clock::time_point::max();
     if (HasDeadline)
       Deadline = readClock() + Limits.Timeout;
-    bool Observed = Trace && (Trace->active() || Trace->progressStream());
-    if (Observed)
-      beginObservedRun();
-    else if (HasDeadline)
-      NextObserveStep = Steps; // Poll once before the first expansion.
+    const bool Traced = Trace && Trace->active();
+    if (Traced)
+      beginBatch();
+    // A deadline is polled once before the first expansion, then on the
+    // batched stride.
+    NextPollStep = HasDeadline ? Steps : Steps + BatchSize;
     ExplorationOutcome Outcome = ExplorationOutcome::Completed;
     while (!Queue.empty()) {
       if (Limits.CancelRequested && Limits.CancelRequested()) {
@@ -151,19 +151,19 @@ public:
       ++Steps;
       if (Stats)
         ++Stats->StatesExplored;
-      // The deadline shares the heartbeat's batched stride: the clock is
+      // The deadline shares the batch span's stride: the clock is
       // consulted every BatchSize steps at most, never per expansion.  A
       // deadline that is already expired trips here, before the first
-      // Expand call (NextObserveStep starts at the pre-run step count).
-      if ((Observed || HasDeadline) && Steps >= NextObserveStep) {
+      // Expand call (NextPollStep starts at the pre-run step count).
+      if ((Traced || HasDeadline) && Steps >= NextPollStep) {
         if (HasDeadline && readClock() >= Deadline) {
           Outcome = ExplorationOutcome::TimedOut;
           break;
         }
-        if (Observed)
-          observeBatch();
-        else
-          NextObserveStep = Steps + BatchSize;
+        if (Traced)
+          rotateBatch();
+        // A traced run keeps its polls on the batch boundaries.
+        NextPollStep = (Traced ? BatchStartStep : Steps) + BatchSize;
       }
       Expand(Id);
     }
@@ -172,17 +172,14 @@ public:
     // the final expansion would drain the queue and report Completed.
     if (Outcome == ExplorationOutcome::Completed && StateBudgetTripped)
       Outcome = ExplorationOutcome::StateBudgetExceeded;
-    if (Observed)
-      endObservedRun(Outcome);
+    if (Traced)
+      endBatch();
     return Outcome;
   }
 
   /// run(), but throws ExplorationError on any outcome but Completed.
-  /// Before throwing, the failure is reported to the tracer: an instant
-  /// event on the active tracer, an incident dump of an armed flight
-  /// recorder, and — because a budgeted run that dies is
-  /// exactly when one wants to know what the solver was chewing on — the
-  /// session's slow-query log on the progress stream.
+  /// Before throwing, the failure is reported to the active tracer as an
+  /// "exploration.stopped" instant.
   template <typename ExpandFn>
   void runOrThrow(obs::Literal Construction, ExpandFn &&Expand) {
     ExplorationOutcome Outcome = run(std::forward<ExpandFn>(Expand));
@@ -200,10 +197,9 @@ private:
 
   /// Out-of-line tracing slow paths (Exploration.cpp), so the template
   /// above stays lean.
-  void beginObservedRun();
-  void observeBatch();
-  void scheduleNextObservation();
-  void endObservedRun(ExplorationOutcome Outcome);
+  void beginBatch();
+  void rotateBatch();
+  void endBatch();
   void reportExhaustion(obs::Literal Construction,
                         ExplorationOutcome Outcome);
 
@@ -215,16 +211,10 @@ private:
   size_t Enqueued = 0;
   /// Set by enqueue() when the state budget stops admitting items.
   bool StateBudgetTripped = false;
-  /// Heartbeat bookkeeping, valid during an observed run().
-  bool BatchSpanOpen = false;
+  /// Step count at which the open batch span began (traced runs).
   size_t BatchStartStep = 0;
-  size_t StepsAtLastBeat = 0;
-  /// Step count at which observeBatch() is polled next: an adaptive
-  /// stride in [1, BatchSize] so the heartbeat honours the tracer's
-  /// ProgressIntervalMs (0 = beat every step) without a clock read per
-  /// step.
-  size_t NextObserveStep = 0;
-  std::chrono::steady_clock::time_point RunStart, LastBeat;
+  /// Step count at which the deadline and the batch span are polled next.
+  size_t NextPollStep = 0;
 };
 
 } // namespace fast::engine

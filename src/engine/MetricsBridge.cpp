@@ -33,23 +33,6 @@ void fast::engine::collectSessionMetrics(const SessionEngine &Eng,
   Snap.addFields("fast_solver_", Eng.Solv.stats());
   Snap.addFields("fast_vm_", Eng.Stats.vm());
   Snap.addFields("fast_", Eng.Stats.program());
-
-  // --- fast_flightrecorder_*: ring accounting.  Event counts depend on
-  // wall-clock-gated producers (heartbeats), so they are timing families;
-  // arming state and capacity are not.
-  const obs::FlightRecorder &FR = Eng.Trace.recorder();
-  Snap.addCounter("fast_flightrecorder_events_total",
-                  "Events recorded into the flight-recorder ring",
-                  double(FR.recordedCount()), /*Timing=*/true);
-  Snap.addCounter("fast_flightrecorder_dropped_total",
-                  "Flight-recorder events evicted by ring wrap",
-                  double(FR.droppedCount()), /*Timing=*/true);
-  Snap.addGauge("fast_flightrecorder_armed",
-                "1 when the flight recorder is armed",
-                FR.armed() ? 1 : 0);
-  Snap.addGauge("fast_flightrecorder_capacity",
-                "Flight-recorder ring capacity in events",
-                double(FR.capacity()));
 }
 
 //===----------------------------------------------------------------------===//

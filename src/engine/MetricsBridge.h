@@ -21,11 +21,10 @@
 ///                   when the VM never ran)
 ///   fast_program_runs, fast_assertions[_failed]  the Fast driver's
 ///                   program-level counters
-///   fast_flightrecorder_*  ring-buffer occupancy and drop accounting
 ///
 /// Every output renders that snapshot: `fastc --stats` its text(),
-/// `--metrics` and `--report` its exposition, and the benchmark records'
-/// `engine` objects its JSON without timing families.
+/// `--metrics` its exposition, and the benchmark records' `engine`
+/// objects its JSON without timing families.
 ///
 /// MetricsFileFlusher writes that snapshot to a file, once or periodically
 /// from its own thread while the session runs (`fastc --metrics=FILE`, with

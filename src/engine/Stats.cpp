@@ -132,8 +132,6 @@ ConstructionScope::~ConstructionScope() {
   Registry.ScopeStack.pop_back();
   if (obs::Tracer *T = Registry.Trace) {
     if (SpanOpen && T->active()) {
-      // states_explored and rules_emitted lead: the flight-recorder ring
-      // keeps the first two attributes.
       const obs::TraceAttr Attrs[] = {
           obs::attr("states_explored", Stats.StatesExplored - Before.StatesExplored),
           obs::attr("rules_emitted", Stats.RulesEmitted - Before.RulesEmitted),

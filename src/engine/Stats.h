@@ -19,9 +19,8 @@
 /// engine/MetricsBridge.h).
 ///
 /// When the registry's tracer is set (the SessionEngine wires its own),
-/// every ConstructionScope additionally emits a span to the active tracer
-/// (its sink and flight-recorder ring), carrying the counter deltas
-/// accumulated while it was innermost.
+/// every ConstructionScope additionally emits a span to the active tracer's
+/// sink, carrying the counter deltas accumulated while it was innermost.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -13,8 +13,8 @@
 namespace fast::obs {
 
 /// A string with static storage duration.  The consteval constructor
-/// accepts only string literals, so the event strings the flight-recorder
-/// ring and worker buffers keep past the emitting call can never dangle.
+/// accepts only string literals, so the event strings that worker buffers
+/// keep past the emitting call can never dangle.
 class Literal {
 public:
   template <size_t N>

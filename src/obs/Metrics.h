@@ -15,8 +15,8 @@
 /// histograms() table, which mergeFields and addFields walk.
 ///
 /// Families carry a `Timing` flag: metrics whose values depend on wall-clock
-/// measurements (wall_ms, every *_us histogram, flight-recorder event
-/// counts).  Exposition can exclude timing families, which is what makes the
+/// measurements (wall_ms and every *_us histogram).  Exposition can
+/// exclude timing families, which is what makes the
 /// "-j1 vs -j4 snapshots are byte-identical" determinism contract testable.
 ///
 //===----------------------------------------------------------------------===//

@@ -6,8 +6,6 @@
 
 #include "obs/Provenance.h"
 
-#include "obs/TraceSink.h" // jsonEscape
-
 #include <algorithm>
 #include <cassert>
 
@@ -120,26 +118,6 @@ std::vector<unsigned> ProvenanceStore::deadRules() const {
     if (Rules[Id].Fired == 0)
       Dead.push_back(Id);
   return Dead;
-}
-
-std::string ProvenanceStore::coverageJson() const {
-  std::string Out = "[";
-  for (unsigned Id = 0; Id < Rules.size(); ++Id) {
-    const RuleOrigin &R = Rules[Id];
-    const DeclAnchor &A = Anchors[R.AnchorId];
-    if (Id)
-      Out += ",";
-    Out += "{\"decl\":\"";
-    Out += jsonEscape(A.Name);
-    Out += "\",\"kind\":\"";
-    Out += A.kindName();
-    Out += "\",\"line\":" + std::to_string(R.Line);
-    Out += ",\"col\":" + std::to_string(R.Col);
-    Out += ",\"fired\":" + std::to_string(R.Fired);
-    Out += "}";
-  }
-  Out += "]";
-  return Out;
 }
 
 void ProvenanceStore::reset() {

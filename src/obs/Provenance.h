@@ -156,11 +156,6 @@ public:
   /// Canonical rule ids whose Fired count is still zero, in id order.
   std::vector<unsigned> deadRules() const;
 
-  /// The coverage ledger as a JSON array (one object per registered rule:
-  /// decl kind/name, rule line/col, fired count).  Self-contained so the
-  /// HTML report can embed it without linking anything beyond fast_obs.
-  std::string coverageJson() const;
-
   void reset();
 
 private:

@@ -91,12 +91,6 @@ void writeEventBody(std::ostream &Out, const TraceEvent &E) {
 
 } // namespace
 
-std::string fast::obs::renderEventJson(const TraceEvent &E) {
-  std::ostringstream Out;
-  writeEventBody(Out, E);
-  return Out.str();
-}
-
 ChromeTraceSink::ChromeTraceSink(const std::string &Path)
     : Out(Path, std::ios::trunc) {}
 

@@ -86,19 +86,12 @@ inline TraceAttr attr(Literal Key, Literal Value) {
 /// Escapes \p Text as the body of a JSON string literal (no quotes added).
 std::string jsonEscape(std::string_view Text);
 
-struct TraceEvent;
-
-/// Renders one event as the Chrome trace-event JSON object both file sinks
-/// emit.  Exposed so in-memory sinks (the HTML report) serialize events
-/// identically to the file formats.
-std::string renderEventJson(const TraceEvent &E);
-
 /// One emitted event.  Sinks may rely on Name/Category/Attrs only for the
 /// duration of the event() call.  The producers' side of the contract is
 /// stronger: every string of an event (name, category, attribute keys and
 /// string values) has static storage duration — the Tracer and attr()
-/// take them as Literals — because the flight-recorder ring and the
-/// worker buffers below keep the views past the call.
+/// take them as Literals — because the worker buffers below keep the
+/// views past the call.
 struct TraceEvent {
   char Phase = 'i'; // 'B', 'E', 'X', or 'i'.
   std::string_view Name;
@@ -153,9 +146,9 @@ private:
 /// In-memory sink that keeps every event it receives, for deferred replay.
 /// Worker contexts of a parallel run record into one of these; at the join
 /// point the driver replays each buffer into the base session's tracer in
-/// task-index order, so the merged trace and ring are byte-stable across
-/// thread counts and schedules.  The attribute array is copied; strings
-/// stay borrowed (static, see TraceEvent).
+/// task-index order, so the merged trace's (lane, phase, name) sequence is
+/// the same at any thread count and schedule.  The attribute array is
+/// copied; strings stay borrowed (static, see TraceEvent).
 class BufferTraceSink : public TraceSink {
 public:
   struct BufferedEvent {
@@ -182,8 +175,8 @@ private:
 
 /// Opens a file sink for \p Path, choosing the format by extension
 /// (".jsonl" streams JSONL, anything else writes the Chrome JSON array).
-/// Returns null if the file cannot be opened.  Factored out of
-/// Tracer::openTrace so `--report` can tee into the same file formats.
+/// Returns null if the file cannot be opened.  Tracer::openTrace is its
+/// caller.
 std::unique_ptr<TraceSink> makeFileTraceSink(const std::string &Path);
 
 } // namespace fast::obs

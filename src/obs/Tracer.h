@@ -15,27 +15,24 @@
 ///    and counter deltas attached to every span end;
 ///  - complete leaf spans ('X' events) for solver checks that reach Z3 and
 ///    for compiled-VM runs;
-///  - instant events ('i') for progress heartbeats and budget exhaustion.
+///  - instant events ('i') for budget exhaustion.
 ///
-/// Each event goes to two consumers: the attached sink (a trace file, the
-/// report's memory sink, a worker's replay buffer) and the flight-recorder
-/// ring (FlightRecorder.h).  active() is true when either is attached; it
-/// is the single relaxed load every hook makes, so a session with neither
+/// Each event goes to one consumer, the attached sink (a trace file or a
+/// worker's replay buffer).  active() is true while a sink is attached;
+/// it is the single relaxed load every hook makes, so an untraced session
 /// pays one branch per hook.  A sink is attached with openTrace() (file
 /// extension selects the format: ".jsonl" streams flush-per-event JSONL,
 /// anything else writes the Perfetto-loadable Chrome JSON array) or from
-/// the FAST_TRACE environment variable; the ring with armRecorder() or
-/// FAST_FLIGHT_RECORDER.
+/// the FAST_TRACE environment variable.
 ///
 /// Event strings — names, categories, attribute keys and string values —
-/// are Literals (obs/Literal.h): the ring and worker buffers keep them
-/// past the emitting call.
+/// are Literals (obs/Literal.h): worker buffers keep them past the
+/// emitting call.
 ///
-/// Two pieces stay on even with no consumer because they feed `fastc
+/// Two pieces stay on even with no sink because they feed `fastc
 /// --stats`: the slow-query log (worst-K solver queries, admission is one
 /// comparison) and the construction label stack that attributes those
-/// queries.  The progress heartbeat additionally mirrors to a stream
-/// (stderr under `fastc --progress`, or FAST_PROGRESS=1).
+/// queries.
 ///
 /// The Tracer is single-threaded, like the analysis session it observes.
 ///
@@ -44,13 +41,11 @@
 #ifndef FAST_OBS_TRACER_H
 #define FAST_OBS_TRACER_H
 
-#include "obs/FlightRecorder.h"
 #include "obs/SlowQueryLog.h"
 #include "obs/TraceSink.h"
 
 #include <atomic>
 #include <chrono>
-#include <iosfwd>
 #include <vector>
 
 namespace fast::obs {
@@ -62,8 +57,7 @@ public:
   Tracer(const Tracer &) = delete;
   Tracer &operator=(const Tracer &) = delete;
 
-  /// True when a sink or the ring is attached; the only check hot paths
-  /// make.
+  /// True when a sink is attached; the only check hot paths make.
   bool active() const { return Active.load(std::memory_order_relaxed); }
 
   /// Attaches a file sink, replacing any current one.  The format is
@@ -72,42 +66,30 @@ public:
   /// if the file cannot be opened.
   bool openTrace(const std::string &Path);
 
-  /// Installs a custom sink (tests, the report's memory sink, a worker's
-  /// replay buffer), or detaches with null.  A sink attaches only while no
-  /// span is open (asserted), so it sees the begin of every span whose end
-  /// it sees; every caller attaches to a fresh or idle tracer.
+  /// Installs a custom sink (tests, a worker's replay buffer), or
+  /// detaches with null.  A sink attaches only while no span is open
+  /// (asserted), so it sees the begin of every span whose end it sees;
+  /// every caller attaches to a fresh or idle tracer.
   void setSink(std::unique_ptr<TraceSink> NewSink);
 
   /// Finishes and closes the current sink, balancing the spans it saw
-  /// begin first so the emitted trace is well-formed.  The ring, if
-  /// armed, is untouched.
+  /// begin first so the emitted trace is well-formed.
   void closeTrace();
 
-  /// Attaches the flight-recorder ring, dumping to \p Path on an incident
-  /// (an empty path records only).  \p Capacity 0 takes the
-  /// FAST_FLIGHT_RECORDER_EVENTS budget, else the 64K-event default.
-  void armRecorder(std::string Path, size_t Capacity = 0);
-
-  /// Applies FAST_TRACE (trace file path), FAST_PROGRESS=1 (heartbeat to
-  /// stderr), FAST_PROGRESS_MS and FAST_FLIGHT_RECORDER (ring dump path).
-  /// Called by the SessionEngine constructor.
+  /// Applies FAST_TRACE (trace file path).  Called by the SessionEngine
+  /// constructor.
   void configureFromEnv();
 
   /// Adopts \p Base's timebase, so events this tracer emits (into a
   /// worker's BufferTraceSink) carry timestamps directly comparable with
-  /// the base session's and can be replayed into its consumers unadjusted.
+  /// the base session's and can be replayed into its sink unadjusted.
   void alignEpochTo(const Tracer &Base) { Epoch = Base.Epoch; }
 
-  /// The always-on incident ring (see FlightRecorder.h): dumps and
-  /// accounting.  Disarmed by default.
-  FlightRecorder &recorder() { return Recorder; }
-  const FlightRecorder &recorder() const { return Recorder; }
-
   /// Forwards an already-timestamped event (a worker buffer replay) to
-  /// this tracer's consumers; no-op when inactive.
+  /// this tracer's sink; no-op when inactive.
   void emitForeign(const TraceEvent &E) {
     if (active())
-      emit(E);
+      Sink->event(E);
   }
 
   /// Microseconds since tracer construction (the trace timebase).
@@ -149,26 +131,7 @@ public:
   SlowQueryLog &slowQueries() { return Slow; }
   const SlowQueryLog &slowQueries() const { return Slow; }
 
-  /// --- Progress heartbeat --------------------------------------------
-
-  /// Mirror stream for progress lines (null disables; stderr under
-  /// --progress).  Instant events also reach the sink when active.
-  void setProgressStream(std::ostream *Stream) { Progress = Stream; }
-  std::ostream *progressStream() const { return Progress; }
-  /// Minimum milliseconds between heartbeats of one exploration.
-  unsigned ProgressIntervalMs = 1000;
-
 private:
-  void emit(const TraceEvent &E) {
-    if (Sink)
-      Sink->event(E);
-    if (Recorder.armed())
-      Recorder.append(E);
-  }
-  void updateActive() {
-    Active.store(Sink || Recorder.armed(), std::memory_order_relaxed);
-  }
-
   std::atomic<bool> Active{false};
   std::unique_ptr<TraceSink> Sink;
   /// Open spans, so 'E' events can repeat their name and category.
@@ -179,9 +142,7 @@ private:
   std::vector<OpenSpan> SpanStack;
   std::vector<Literal> ConstructionStack;
   SlowQueryLog Slow;
-  std::ostream *Progress = nullptr;
   std::chrono::steady_clock::time_point Epoch;
-  FlightRecorder Recorder;
 };
 
 /// RAII span: begins on construction when the tracer is active and ends

@@ -43,9 +43,9 @@ WorkerContext::WorkerContext(Session &Base,
   WorkEngine.Trace.alignEpochTo(BaseEngine.Trace);
 
   // Trace events are order-sensitive: buffer them on the base timebase
-  // for replay into the base's sink and ring at the join point.  With
-  // neither attached nothing buffers and the worker tracer stays inactive
-  // (one branch per hook).
+  // for replay into the base's sink at the join point.  Without a sink
+  // nothing buffers and the worker tracer stays inactive (one branch per
+  // hook).
   if (BaseEngine.Trace.active()) {
     auto Sink = std::make_unique<obs::BufferTraceSink>();
     Buffer = Sink.get();
@@ -178,11 +178,10 @@ ParallelRunner::run(size_t NumTasks,
          "pooled run built more contexts than pool threads");
 
   // Join point: replay order-sensitive trace buffers in task order onto
-  // lane 2 + task, so the merged trace file and ring (and its
-  // structureDigest()) are identical across schedules.  A task that threw
-  // had its whole scratch state discarded (mergeInto never ran), so its
-  // buffer is skipped too — the event stream never shows spans whose
-  // counters were not merged.
+  // lane 2 + task, so the merged trace's (lane, phase, name) sequence is
+  // identical across schedules.  A task that threw had its whole scratch
+  // state discarded (mergeInto never ran), so its buffer is skipped too —
+  // the event stream never shows spans whose counters were not merged.
   obs::Tracer &BaseTrace = BaseS.tracer();
   if (BaseTrace.active())
     for (size_t Task = 0; Task < Retained.size(); ++Task)

@@ -24,8 +24,8 @@
 ///    task end under a mutex — sums and worst-K sets are merge-order
 ///    independent;
 ///  - order-sensitive state (trace events) is buffered per task and
-///    replayed into the base tracer (its sink and ring) at the join point
-///    in task-index order.
+///    replayed into the base tracer's sink at the join point in
+///    task-index order.
 ///
 /// A task that throws does not abort its siblings; its scratch state is
 /// discarded wholesale — neither its stats/coverage shards nor its
@@ -96,7 +96,7 @@ public:
   void mergeInto(Session &Base);
 
   /// Replays this context's buffered trace events into \p BaseTrace's
-  /// sink and ring with their original timestamps, rewritten onto thread
+  /// sink with their original timestamps, rewritten onto thread
   /// lane \p Lane (lane 1 is the base session's own thread; the runner
   /// passes 2 + task index).  Distinct lanes keep per-lane timestamps
   /// monotone even though tasks overlapped in real time.  Called at the

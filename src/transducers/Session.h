@@ -59,8 +59,8 @@ struct Session {
   /// A worker overlay over \p Base, which must be frozen and must outlive
   /// this session.  The overlay's solver copies the base solver's timeout
   /// and ablation knobs; its engine is installed eagerly with environment
-  /// configuration suppressed (the base session owns FAST_TRACE /
-  /// FAST_PROGRESS — workers buffer trace events for replay instead).
+  /// configuration suppressed (the base session owns FAST_TRACE — workers
+  /// buffer trace events for replay instead).
   Session(OverlayTag, const Session &Base)
       : Terms(&Base.Terms), Trees(&Base.Trees), Outputs(&Base.Outputs),
         Solv(Terms, Base.Solv.timeoutMs()) {
@@ -94,7 +94,7 @@ struct Session {
   /// The session-wide stats registry (counters per construction).
   engine::StatsRegistry &stats() { return engine().Stats; }
 
-  /// The session-wide tracer (spans, slow-query log, progress heartbeat).
+  /// The session-wide tracer (spans, slow-query log).
   obs::Tracer &tracer() { return engine().Trace; }
 
   /// The session-wide provenance store (decl anchors, rule-coverage

@@ -14,8 +14,7 @@
 #include "engine/MetricsBridge.h"
 #include "engine/StateInterner.h"
 
-#include <cstdlib>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -160,6 +159,36 @@ TEST(ExplorationTest, ExpiredDeadlineTripsBeforeFirstExpansion) {
   EXPECT_EQ(Expanded, 0u);
 }
 
+TEST(ExplorationTest, TracedRunRotatesBatchSpansOnTheStride) {
+  // A traced run ends one explore.batch span every BatchSize steps and
+  // the last one at the run's end; a deadline is polled on the same
+  // boundaries, plus once before the first expansion.
+  obs::Tracer Trace;
+  auto Sink = std::make_unique<obs::BufferTraceSink>();
+  obs::BufferTraceSink *Raw = Sink.get();
+  Trace.setSink(std::move(Sink));
+  size_t ClockReads = 0;
+  ExplorationLimits Limits;
+  Limits.Timeout = std::chrono::milliseconds(3600000);
+  Limits.Clock = [&] {
+    ++ClockReads;
+    return std::chrono::steady_clock::time_point{};
+  };
+  Exploration E(nullptr, Limits, &Trace);
+  const size_t Items = 600;
+  for (unsigned I = 0; I < Items; ++I)
+    E.enqueue(I);
+  EXPECT_EQ(E.run([](unsigned) {}), ExplorationOutcome::Completed);
+  std::vector<uint64_t> Steps;
+  for (const obs::BufferTraceSink::BufferedEvent &Ev : Raw->events())
+    if (Ev.Phase == 'E' && Ev.Name == "explore.batch")
+      Steps.push_back(Ev.Attrs[0].Bits);
+  EXPECT_EQ(Steps, std::vector<uint64_t>({256, 256, 88}));
+  EXPECT_EQ(Trace.openSpans(), 0u);
+  // The deadline computation, the first poll, and one per boundary.
+  EXPECT_EQ(ClockReads, 4u);
+}
+
 TEST(ExplorationTest, CancellationHookAborts) {
   unsigned Expanded = 0;
   ExplorationLimits Limits;
@@ -288,58 +317,6 @@ TEST(StatsRegistryTest, ResetDuringActiveScopeKeepsReferencesValid) {
   EXPECT_EQ(Slot.Runs, 0u);    // Counted at entry, wiped by the reset.
   EXPECT_GE(Slot.WallMs, 0.0); // Scope exit still finds its slot.
   EXPECT_EQ(Registry.current(), nullptr);
-}
-
-size_t countHeartbeats(const std::string &Text) {
-  size_t Beats = 0;
-  std::istringstream In(Text);
-  for (std::string Line; std::getline(In, Line);)
-    Beats += Line.rfind("[fast] ", 0) == 0 &&
-             Line.find("states explored") != std::string::npos;
-  return Beats;
-}
-
-TEST(ExplorationHeartbeatTest, ZeroIntervalBeatsEveryStep) {
-  obs::Tracer Trace;
-  std::ostringstream Progress;
-  Trace.setProgressStream(&Progress);
-  Trace.ProgressIntervalMs = 0;
-  Exploration E(nullptr, {}, &Trace);
-  for (unsigned I = 0; I < 10; ++I)
-    E.enqueue(I);
-  EXPECT_EQ(E.run([](unsigned) {}), ExplorationOutcome::Completed);
-  EXPECT_EQ(countHeartbeats(Progress.str()), 10u);
-}
-
-TEST(ExplorationHeartbeatTest, LongIntervalStaysQuiet) {
-  // A cadence far beyond the run's duration must produce no heartbeat
-  // lines (and, below BatchSize steps, not even consult the clock).
-  obs::Tracer Trace;
-  std::ostringstream Progress;
-  Trace.setProgressStream(&Progress);
-  Trace.ProgressIntervalMs = 3600000;
-  Exploration E(nullptr, {}, &Trace);
-  for (unsigned I = 0; I < 50; ++I)
-    E.enqueue(I);
-  EXPECT_EQ(E.run([](unsigned) {}), ExplorationOutcome::Completed);
-  EXPECT_EQ(countHeartbeats(Progress.str()), 0u);
-}
-
-TEST(ExplorationHeartbeatTest, CadenceConfiguredFromEnvironment) {
-  unsetenv("FAST_TRACE");
-  unsetenv("FAST_PROGRESS");
-  setenv("FAST_PROGRESS_MS", "123", 1);
-  obs::Tracer Trace;
-  Trace.configureFromEnv();
-  EXPECT_EQ(Trace.ProgressIntervalMs, 123u);
-
-  // Garbage values leave the default untouched.
-  setenv("FAST_PROGRESS_MS", "soon", 1);
-  obs::Tracer Untouched;
-  unsigned Default = Untouched.ProgressIntervalMs;
-  Untouched.configureFromEnv();
-  EXPECT_EQ(Untouched.ProgressIntervalMs, Default);
-  unsetenv("FAST_PROGRESS_MS");
 }
 
 } // namespace

@@ -1,20 +1,16 @@
-//===- tests/obs/ProvenanceTest.cpp - Provenance & report layer tests -----===//
+//===- tests/obs/ProvenanceTest.cpp - Provenance layer tests --------------===//
 //
 // Unit tests for the provenance layer (ProvenanceStore interning and the
 // rule-coverage ledger, StateProvenance side tables and their propagation
-// through Sta::import), the derivation-carrying witness round trip
-// (witnessExplained + verifyDerivation), and the report backend
-// (MemoryTraceSink, TeeTraceSink, ReportBuilder's JSON island).
+// through Sta::import), and the derivation-carrying witness round trip
+// (witnessExplained + verifyDerivation).
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
 #include "automata/StaOps.h"
-#include "checks/JsonCheck.h"
 #include "obs/Provenance.h"
-#include "obs/Report.h"
-#include "obs/Tracer.h"
 
 #include <memory>
 #include <string>
@@ -57,15 +53,6 @@ TEST(ProvenanceStoreTest, CoverageLedgerAndDeadRules) {
   EXPECT_EQ(P.ruleOrigin(R1).Fired, 1u);
   EXPECT_EQ(P.ruleOrigin(R2).Fired, 0u);
   EXPECT_EQ(P.deadRules(), std::vector<unsigned>({R2}));
-
-  std::string Error;
-  std::optional<json::Value> Cov = json::parse(P.coverageJson(), &Error);
-  ASSERT_TRUE(Cov.has_value()) << Error;
-  ASSERT_TRUE(Cov->isArray());
-  ASSERT_EQ(Cov->Items.size(), 3u);
-  const json::Value *Fired = Cov->Items[2].find("fired");
-  ASSERT_NE(Fired, nullptr);
-  EXPECT_EQ(Fired->Num, 0.0);
 
   P.reset();
   EXPECT_EQ(P.numAnchors(), 0u);
@@ -154,71 +141,6 @@ TEST_F(WitnessExplainTest, EmptyLanguageYieldsNoWitness) {
   A->addRule(Q, *Sig->findConstructor("N"), S.Terms.trueTerm(), {{Q}, {Q}});
   TreeLanguage Empty(A, Q);
   EXPECT_FALSE(witnessExplained(S.Solv, Empty, S.Trees).has_value());
-}
-
-TEST(ReportSinkTest, MemoryStorageSurvivesSinkDestruction) {
-  Tracer T;
-  auto Memory = std::make_unique<MemoryTraceSink>();
-  std::shared_ptr<std::vector<std::string>> Storage = Memory->storage();
-  T.setSink(std::move(Memory));
-  T.beginSpan("work", "test");
-  T.endSpan();
-  T.instant("ping", "test");
-  T.closeTrace(); // Destroys the sink; storage must stay readable.
-  ASSERT_GE(Storage->size(), 3u);
-  bool SawPing = false;
-  for (const std::string &Event : *Storage)
-    SawPing |= Event.find("\"ping\"") != std::string::npos;
-  EXPECT_TRUE(SawPing);
-  std::string Error;
-  for (const std::string &Event : *Storage)
-    EXPECT_TRUE(json::parse(Event, &Error).has_value()) << Event << Error;
-}
-
-TEST(ReportSinkTest, TeeForwardsToBothSinks) {
-  auto A = std::make_unique<MemoryTraceSink>();
-  auto B = std::make_unique<MemoryTraceSink>();
-  auto StorageA = A->storage();
-  auto StorageB = B->storage();
-  TeeTraceSink Tee(std::move(A), std::move(B));
-  Tee.event({'i', "x", "test", 1.0, 0, {}});
-  Tee.finish();
-  EXPECT_EQ(StorageA->size(), 1u);
-  EXPECT_EQ(*StorageA, *StorageB);
-}
-
-TEST(ReportBuilderTest, DataJsonCarriesAllKeysAndEscapesIsland) {
-  ReportBuilder R;
-  R.setTitle("unit report");
-  R.setStatsJson("{\"n\":1}");
-  R.setCoverageJson("[{\"fired\":2}]");
-  R.setEvents({"{\"ph\":\"i\",\"name\":\"e\"}"});
-  R.setSlowQueryText("none");
-  R.addAssertion("prog.fast:3:1", true, false, "witness: L[1]");
-  R.addWitness("assert at prog.fast:3:1", "tree </script> oops");
-
-  std::string Error;
-  std::optional<json::Value> Data = json::parse(R.dataJson(), &Error);
-  ASSERT_TRUE(Data.has_value()) << Error;
-  ASSERT_TRUE(Data->isObject());
-  for (const char *Key : {"title", "events", "stats", "coverage",
-                          "assertions", "witnesses", "slow_queries"})
-    EXPECT_NE(Data->find(Key), nullptr) << Key;
-  ASSERT_EQ(Data->find("assertions")->Items.size(), 1u);
-  const json::Value *Passed = Data->find("assertions")->Items[0].find("passed");
-  ASSERT_NE(Passed, nullptr);
-  EXPECT_FALSE(Passed->B);
-
-  // The witness text contains "</script>"; the embedded island must not,
-  // or the page's own script element would terminate early.
-  std::string Html = R.html();
-  size_t Island = Html.find("id=\"fast-report-data\"");
-  ASSERT_NE(Island, std::string::npos);
-  size_t Close = Html.find("</script>", Island);
-  ASSERT_NE(Close, std::string::npos);
-  EXPECT_EQ(Html.substr(Island, Close - Island).find("</script>"),
-            std::string::npos);
-  EXPECT_NE(Html.find("<\\/script>", Island), std::string::npos);
 }
 
 } // namespace

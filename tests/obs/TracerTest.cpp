@@ -3,9 +3,8 @@
 // Unit tests for the tracing/profiling layer: the latency histogram's
 // bucketing and percentiles, the slow-query log's worst-K admission, the
 // two file sinks' output formats (validated with the same JSON parser
-// trace_check uses), span balancing on close (with and without the ring
-// armed), and the attribution of counter deltas to the innermost
-// construction span.
+// trace_check uses), span balancing on close, and the attribution of
+// counter deltas to the innermost construction span.
 //
 //===----------------------------------------------------------------------===//
 
@@ -245,29 +244,6 @@ TEST(TracerTest, CloseBalancesOpenSpans) {
     EXPECT_GE(Depth, 0);
   }
   EXPECT_EQ(Depth, 0);
-}
-
-TEST(TracerTest, DetachingASinkLeavesTheRingRecording) {
-  // The sink and the ring are two consumers of one stream: closing the
-  // sink balances its open spans for it alone, and the ring stays armed
-  // and sees each span end when its scope does.
-  Tracer T;
-  T.armRecorder("", 16);
-  std::vector<CaptureSink::Captured> Events;
-  T.setSink(std::make_unique<CaptureSink>(Events));
-  T.beginSpan("open", "test");
-  T.closeTrace();
-  EXPECT_TRUE(T.active());
-  EXPECT_EQ(T.openSpans(), 1u);
-  T.endSpan(); // ring only
-
-  ASSERT_EQ(Events.size(), 2u);
-  EXPECT_EQ(Events[0].Phase, 'B');
-  EXPECT_EQ(Events[1].Phase, 'E'); // balanced by closeTrace
-  EXPECT_EQ(Events[1].Name, "open");
-  EXPECT_TRUE(T.recorder().armed());
-  EXPECT_EQ(T.recorder().recordedCount(), 2u);
-  EXPECT_EQ(T.openSpans(), 0u);
 }
 
 TEST(TracerTest, JsonlStreamsAndFlushesPerEvent) {

@@ -15,7 +15,10 @@
 #include "transducers/Parallel.h"
 
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 using namespace fast;
 using namespace fast::test;
@@ -324,6 +327,50 @@ TEST(ParallelRunnerTest, TraceReplayIsInTaskOrder) {
   }
   EXPECT_EQ(ComposeBegins, 4u);
   EXPECT_FALSE(Interleaved);
+}
+
+constexpr obs::Literal TaskNames[] = {"task.0", "task.1", "task.2",
+                                      "task.3", "task.4", "task.5",
+                                      "task.6", "task.7", "task.8",
+                                      "task.9", "task.10", "task.11"};
+
+/// The (lane, phase, name) sequence a base sink receives when \p Tasks
+/// tasks, each emitting 1 + Task % 3 instants, run at \p Threads.
+using TraceShape = std::vector<std::tuple<double, char, std::string_view>>;
+TraceShape mergedTrace(unsigned Threads, size_t Tasks) {
+  Session S;
+  auto Sink = std::make_unique<obs::BufferTraceSink>();
+  obs::BufferTraceSink *Raw = Sink.get();
+  S.tracer().setSink(std::move(Sink));
+  ParallelRunner Runner(S, Threads);
+  Runner.run(Tasks, [&](size_t Task, WorkerContext &Worker) {
+    obs::Tracer &T = Worker.session().tracer();
+    // Workers of a traced base buffer their events for replay.
+    EXPECT_TRUE(T.active());
+    for (size_t I = 0; I <= Task % 3; ++I)
+      T.instant(TaskNames[Task], "test");
+  });
+  TraceShape Shape;
+  for (const obs::BufferTraceSink::BufferedEvent &E : Raw->events())
+    Shape.emplace_back(E.Tid, E.Phase, E.Name);
+  return Shape;
+}
+
+TEST(ParallelRunnerTest, MergedTraceIsScheduleIndependent) {
+  TraceShape J1 = mergedTrace(1, 12);
+  EXPECT_EQ(J1, mergedTrace(4, 12));
+  EXPECT_EQ(J1, mergedTrace(3, 12));
+  // And the sequence follows the task set actually run.
+  EXPECT_NE(J1, mergedTrace(4, 11));
+}
+
+TEST(ParallelRunnerTest, UntracedBaseLeavesWorkerTracersInactive) {
+  Session S;
+  ASSERT_FALSE(S.tracer().active());
+  ParallelRunner Runner(S, 2);
+  Runner.run(4, [&](size_t, WorkerContext &Worker) {
+    EXPECT_FALSE(Worker.session().tracer().active());
+  });
 }
 
 TEST(ParallelRunnerTest, WorkerWitnessTreesSurviveViaRetention) {

@@ -1,7 +1,8 @@
 # Runs fastc with tracing enabled on a real program, then validates the
 # produced trace with trace_check and the --stats text printed alongside
-# it (one line per metric family), and checks that the removed JSON stats
-# flag is a usage error.  Invoked by the obs.smoke ctest as
+# it (one line per metric family).  Further legs stop a traced run on its
+# state budget, check --explain's counterexample, and check that removed
+# flags are usage errors.  Invoked by the obs.smoke ctest as
 #   cmake -DFASTC=... -DTRACE_CHECK=... -DPROGRAM=... -DOUT_DIR=... -P obs_smoke.cmake
 #
 # sanitizer.fast intentionally fails one assertion, so fastc exiting 1 is
@@ -54,52 +55,74 @@ foreach(Trace obs_smoke.json obs_smoke.jsonl)
   message(STATUS "${Trace}: ${CheckOut}")
 endforeach()
 
-# The JSON stats flag is gone: --metrics=FILE.json carries a superset.
-set(RemovedFlag --stats-json)
+# Budget leg: a state budget stops the run.  The trace must still validate
+# and hold the last exploration batch, the budget-stop instant with its
+# outcome, and a construction span end with its counter deltas; --stats
+# must still print the snapshot.
+set(BudgetTrace "${OUT_DIR}/obs_smoke_budget.json")
 execute_process(
-  COMMAND "${FASTC}" ${RemovedFlag} "${PROGRAM}"
-  RESULT_VARIABLE RunResult
-  OUTPUT_QUIET
-  ERROR_QUIET)
-if(NOT RunResult EQUAL 2)
-  message(FATAL_ERROR "fastc ${RemovedFlag} exited ${RunResult}, not 2")
-endif()
-
-# Flight-recorder leg: force a state-budget exhaustion so the engine dumps
-# the ring at the incident, then validate the dump with trace_check's
-# flight-recorder mode.  The final pre-incident explore.batch events and a
-# construction span end with its counter deltas must be present — that is
-# the whole point of an always-on recorder.
-set(FrFile "${OUT_DIR}/obs_smoke_fr.json")
-execute_process(
-  COMMAND "${FASTC}" "--flight-recorder=${FrFile}" --max-states=3 "${PROGRAM}"
+  COMMAND "${FASTC}" "--trace=${BudgetTrace}" --stats --max-states=3
+          "${PROGRAM}"
   RESULT_VARIABLE RunResult
   OUTPUT_VARIABLE RunOut
   ERROR_VARIABLE RunErr)
-if(RunResult GREATER 1)
+if(NOT RunResult EQUAL 1)
   message(FATAL_ERROR
-    "fastc --flight-recorder=${FrFile} failed (exit ${RunResult}):\n${RunOut}${RunErr}")
+    "fastc --max-states=3 exited ${RunResult}, not 1:\n${RunOut}${RunErr}")
 endif()
 execute_process(
-  COMMAND "${TRACE_CHECK}" "${FrFile}"
+  COMMAND "${TRACE_CHECK}" "${BudgetTrace}"
   RESULT_VARIABLE CheckResult
   OUTPUT_VARIABLE CheckOut
   ERROR_VARIABLE CheckErr)
 if(NOT CheckResult EQUAL 0)
   message(FATAL_ERROR
-    "trace_check rejected ${FrFile} (exit ${CheckResult}):\n${CheckOut}${CheckErr}")
+    "trace_check rejected ${BudgetTrace} (exit ${CheckResult}):\n${CheckOut}${CheckErr}")
 endif()
-if(NOT CheckOut MATCHES "flight recorder")
-  message(FATAL_ERROR
-    "trace_check did not enter flight-recorder mode for ${FrFile}:\n${CheckOut}")
-endif()
-file(READ "${FrFile}" FrText)
+file(READ "${BudgetTrace}" BudgetText)
 foreach(Needle "explore.batch" "exploration.stopped" "state budget exceeded"
                "\"cat\":\"construction\",\"ph\":\"E\"")
-  string(FIND "${FrText}" "${Needle}" At)
+  string(FIND "${BudgetText}" "${Needle}" At)
   if(At EQUAL -1)
-    message(FATAL_ERROR
-      "flight-recorder dump ${FrFile} lacks ${Needle}")
+    message(FATAL_ERROR "budget-stopped trace ${BudgetTrace} lacks ${Needle}")
   endif()
 endforeach()
-message(STATUS "obs_smoke_fr.json: ${CheckOut}")
+if(NOT RunOut MATCHES "(^|\n)fast_engine_states_explored_total [^\n]*[0-9]")
+  message(FATAL_ERROR
+    "fastc --stats printed no snapshot when the budget stopped the run:\n"
+    "${RunOut}${RunErr}")
+endif()
+message(STATUS "obs_smoke_budget.json: ${CheckOut}")
+
+# Explain leg: the Figure-2 counterexample, a script node that survives
+# sanitization, cited back to the buggy remScript rule.
+execute_process(
+  COMMAND "${FASTC}" --explain "${PROGRAM}"
+  RESULT_VARIABLE RunResult
+  OUTPUT_VARIABLE RunOut
+  ERROR_VARIABLE RunErr)
+if(RunResult GREATER 1)
+  message(FATAL_ERROR
+    "fastc --explain failed (exit ${RunResult}):\n${RunOut}${RunErr}")
+endif()
+foreach(Needle "witness: node[\"script\"]" "trans 'remScript' at")
+  string(FIND "${RunOut}" "${Needle}" At)
+  if(At EQUAL -1)
+    message(FATAL_ERROR "fastc --explain printed no ${Needle}:\n${RunOut}")
+  endif()
+endforeach()
+
+# Removed flags are usage errors: --metrics=FILE.json carries a superset
+# of --stats-json, and the flight recorder, the HTML report and the
+# progress heartbeat are gone.
+foreach(RemovedFlag --stats-json --flight-recorder=${OUT_DIR}/fr.json
+                    --report=${OUT_DIR}/report.html --progress)
+  execute_process(
+    COMMAND "${FASTC}" ${RemovedFlag} "${PROGRAM}"
+    RESULT_VARIABLE RunResult
+    OUTPUT_QUIET
+    ERROR_QUIET)
+  if(NOT RunResult EQUAL 2)
+    message(FATAL_ERROR "fastc ${RemovedFlag} exited ${RunResult}, not 2")
+  endif()
+endforeach()

@@ -21,16 +21,6 @@
 //     attached to such an end is non-negative (deltas of monotone
 //     counters can never go backwards).
 //
-// Flight-recorder dumps (fastc --flight-recorder, FAST_FLIGHT_RECORDER) use
-// the same Chrome schema and are detected by their leading metadata record
-// (an event named "flight_recorder" whose args carry flight_recorder: true).
-// In that mode the span-balance rules relax — the ring evicts oldest events
-// first, so a dump may contain 'E' events whose 'B' was evicted and spans
-// still open at the incident — and the metadata's declared event count must
-// match the events actually present.  Everything else (timestamp
-// monotonicity per lane, non-negative 'X' durations, counter deltas on
-// every construction span end) is checked the same way for both producers.
-//
 // Exit status: 0 valid, 1 invalid, 2 usage/IO error.  Prints a one-line
 // summary on success so the obs.smoke test has something to match.
 //
@@ -56,11 +46,6 @@ struct Validator {
   size_t MaxDepth = 0;
   size_t Constructions = 0;
   size_t CountersChecked = 0;
-  /// Flight-recorder mode: set by the leading metadata record.  Ring
-  /// eviction truncates span stacks, so balance rules relax.
-  bool FlightRecorder = false;
-  size_t Truncated = 0;
-  double DeclaredEvents = -1;
   /// Last timestamp seen per thread lane ("tid"; default lane 1).
   std::map<double, double> LastTsByTid;
   std::string Error;
@@ -88,23 +73,6 @@ struct Validator {
       return fail("missing numeric \"ts\"");
     if (!Args || !Args->isObject())
       return fail("missing object \"args\"");
-    // The first event of a flight-recorder dump is its metadata record;
-    // everything after it plays by ring-buffer rules.
-    if (Events == 0 && Name->Str == "flight_recorder") {
-      const Value *Marker = Args->find("flight_recorder");
-      if (Marker && Marker->K == Value::Kind::Bool && Marker->B) {
-        FlightRecorder = true;
-        for (const char *Key :
-             {"schema_version", "capacity", "recorded", "dropped", "events"}) {
-          const Value *V = Args->find(Key);
-          if (!V || !V->isNumber() || V->Num < 0)
-            return fail(std::string("flight-recorder metadata lacks "
-                                    "non-negative numeric \"") +
-                        Key + '"');
-        }
-        DeclaredEvents = Args->find("events")->Num;
-      }
-    }
     const Value *Tid = E.find("tid");
     double Lane = Tid && Tid->isNumber() ? Tid->Num : 1;
     auto [It, Fresh] = LastTsByTid.try_emplace(Lane, Ts->Num);
@@ -123,17 +91,12 @@ struct Validator {
       MaxDepth = std::max(MaxDepth, SpanStack.size());
       break;
     case 'E': {
-      if (!SpanStack.empty() && SpanStack.back() == Name->Str) {
-        SpanStack.pop_back();
-      } else if (FlightRecorder) {
-        // A ring dump may open mid-span: the matching 'B' was evicted.
-        ++Truncated;
-      } else if (SpanStack.empty()) {
+      if (SpanStack.empty())
         return fail("'E' for \"" + Name->Str + "\" with no open span");
-      } else {
+      if (SpanStack.back() != Name->Str)
         return fail("'E' for \"" + Name->Str + "\" but innermost span is \"" +
                     SpanStack.back() + "\"");
-      }
+      SpanStack.pop_back();
       if (Cat->Str == "construction") {
         ++Constructions;
         const Value *Delta = Args->find("states_explored");
@@ -168,18 +131,6 @@ struct Validator {
   }
 
   bool finish() {
-    if (FlightRecorder) {
-      // Spans still open at the incident are expected; the metadata's
-      // declared event count is not negotiable.
-      if (DeclaredEvents >= 0 && DeclaredEvents != double(Events - 1)) {
-        Error = "flight-recorder metadata declares " +
-                std::to_string(static_cast<long long>(DeclaredEvents)) +
-                " event(s) but the dump contains " +
-                std::to_string(Events - 1);
-        return false;
-      }
-      return true;
-    }
     if (!SpanStack.empty()) {
       Error = "unbalanced trace: " + std::to_string(SpanStack.size()) +
               " span(s) left open, innermost \"" + SpanStack.back() + "\"";
@@ -253,15 +204,10 @@ int main(int Argc, char **Argv) {
     std::cerr << "trace_check: " << Path << ": " << V.Error << "\n";
     return 1;
   }
-  std::cout << "trace_check: OK";
-  if (V.FlightRecorder)
-    std::cout << " (flight recorder)";
-  std::cout << ": " << V.Events << " events, " << V.Constructions
-            << " construction span(s), max depth " << V.MaxDepth << ", "
-            << V.CountersChecked << " counter delta(s) non-negative, "
-            << V.LastTsByTid.size() << " thread lane(s) monotone";
-  if (V.FlightRecorder)
-    std::cout << ", " << V.Truncated << " span end(s) truncated by the ring";
-  std::cout << "\n";
+  std::cout << "trace_check: OK: " << V.Events << " events, "
+            << V.Constructions << " construction span(s), max depth "
+            << V.MaxDepth << ", " << V.CountersChecked
+            << " counter delta(s) non-negative, " << V.LastTsByTid.size()
+            << " thread lane(s) monotone\n";
   return 0;
 }
