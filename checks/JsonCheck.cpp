@@ -203,8 +203,7 @@ private:
 
   std::optional<Value> parseNumber() {
     size_t Start = Pos;
-    if (consume('-'))
-      ;
+    consume('-');
     while (Pos < Text.size() &&
            (std::isdigit(static_cast<unsigned char>(Text[Pos])) ||
             Text[Pos] == '.' || Text[Pos] == 'e' || Text[Pos] == 'E' ||

@@ -1,4 +1,4 @@
-//===- checks/MetricsCheck.cpp - Metrics exposition validation ------------===//
+//===- checks/MetricsCheck.cpp - Metrics document validation --------------===//
 //
 // Part of the fast-transducers project (see support/Hashing.h).
 //
@@ -10,8 +10,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
 #include <istream>
 #include <sstream>
 
@@ -34,160 +32,7 @@ std::string canonicalLabels(
   return Out;
 }
 
-bool parseLabelSet(const std::string &Line, size_t &Pos,
-                   std::vector<std::pair<std::string, std::string>> &Labels,
-                   std::string &Error) {
-  // Pos is just past '{'.
-  while (Pos < Line.size() && Line[Pos] != '}') {
-    size_t Eq = Line.find('=', Pos);
-    if (Eq == std::string::npos || Eq + 1 >= Line.size() ||
-        Line[Eq + 1] != '"') {
-      Error = "malformed label pair";
-      return false;
-    }
-    std::string Key = Line.substr(Pos, Eq - Pos);
-    std::string Val;
-    size_t I = Eq + 2;
-    for (; I < Line.size() && Line[I] != '"'; ++I) {
-      if (Line[I] == '\\' && I + 1 < Line.size()) {
-        ++I;
-        Val += Line[I] == 'n' ? '\n' : Line[I];
-      } else {
-        Val += Line[I];
-      }
-    }
-    if (I >= Line.size()) {
-      Error = "unterminated label value";
-      return false;
-    }
-    Labels.emplace_back(std::move(Key), std::move(Val));
-    Pos = I + 1;
-    if (Pos < Line.size() && Line[Pos] == ',')
-      ++Pos;
-  }
-  if (Pos >= Line.size()) {
-    Error = "unterminated label set";
-    return false;
-  }
-  ++Pos; // consume '}'
-  return true;
-}
-
-bool stripSuffix(std::string &Name, const char *Suffix) {
-  size_t N = std::strlen(Suffix);
-  if (Name.size() > N && Name.compare(Name.size() - N, N, Suffix) == 0) {
-    Name.resize(Name.size() - N);
-    return true;
-  }
-  return false;
-}
-
 } // namespace
-
-bool loadPrometheus(std::istream &In, Document &Doc, std::string &Error) {
-  std::string Line;
-  size_t LineNo = 0;
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    auto At = [&](const std::string &Message) {
-      Error = "line " + std::to_string(LineNo) + ": " + Message;
-      return false;
-    };
-    if (Line.empty())
-      continue;
-    if (Line[0] == '#') {
-      std::istringstream Meta(Line);
-      std::string Hash, Keyword, Name, Rest;
-      Meta >> Hash >> Keyword >> Name;
-      if (Keyword == "TYPE") {
-        Meta >> Rest;
-        if (Rest != "counter" && Rest != "gauge" && Rest != "histogram")
-          return At("unknown TYPE '" + Rest + "' for " + Name);
-        Family &F = Doc.Families[Name];
-        F.Type = Rest;
-        F.Declared = true;
-      } else if (Keyword == "TIMING") {
-        Doc.Families[Name].Timing = true;
-      }
-      // HELP and other comments carry no checked structure.
-      continue;
-    }
-
-    // Sample line: name[{labels}] value
-    size_t Pos = Line.find_first_of("{ ");
-    if (Pos == std::string::npos)
-      return At("sample line with no value");
-    std::string Name = Line.substr(0, Pos);
-    std::vector<std::pair<std::string, std::string>> Labels;
-    if (Line[Pos] == '{') {
-      ++Pos;
-      std::string LabelError;
-      if (!parseLabelSet(Line, Pos, Labels, LabelError))
-        return At(LabelError);
-    }
-    while (Pos < Line.size() && Line[Pos] == ' ')
-      ++Pos;
-    if (Pos >= Line.size())
-      return At("sample line with no value");
-    char *End = nullptr;
-    double V = std::strtod(Line.c_str() + Pos, &End);
-    if (End == Line.c_str() + Pos)
-      return At("unparseable sample value");
-
-    // Map histogram series back to their base family.
-    std::string Base = Name;
-    std::string Series;
-    for (const char *Suffix : {"_bucket", "_sum", "_count"}) {
-      std::string Cand = Name;
-      if (stripSuffix(Cand, Suffix)) {
-        auto It = Doc.Families.find(Cand);
-        if (It != Doc.Families.end() && It->second.Type == "histogram") {
-          Base = Cand;
-          Series = Suffix + 1; // skip '_'
-          break;
-        }
-      }
-    }
-    auto It = Doc.Families.find(Base);
-    if (It == Doc.Families.end() || !It->second.Declared)
-      return At("sample '" + Name + "' has no preceding # TYPE declaration");
-    Family &F = It->second;
-    ++Doc.Samples;
-
-    if (F.Type == "histogram") {
-      if (Series.empty())
-        return At("bare sample '" + Name + "' under histogram family");
-      // `le` participates in the bucket series, not the series identity.
-      double Le = 0;
-      std::vector<std::pair<std::string, std::string>> Rest;
-      for (auto &L : Labels) {
-        if (L.first == "le")
-          Le = L.second == "+Inf" ? HUGE_VAL : std::strtod(L.second.c_str(),
-                                                           nullptr);
-        else
-          Rest.push_back(L);
-      }
-      HistSeries &H = F.Hists[canonicalLabels(Rest)];
-      if (Series == "bucket") {
-        if (std::isinf(Le)) {
-          H.HaveInf = true;
-          H.Inf = V;
-        } else {
-          H.Buckets.emplace_back(Le, V);
-        }
-      } else if (Series == "sum") {
-        H.HaveSum = true;
-        H.Sum = V;
-      } else {
-        H.HaveCount = true;
-        H.Count = V;
-      }
-    } else {
-      F.Scalars[canonicalLabels(Labels)] = V;
-    }
-  }
-  return true;
-}
 
 bool loadJson(std::istream &In, Document &Doc, std::string &Error) {
   std::stringstream Buffer;
@@ -222,9 +67,12 @@ bool loadJson(std::istream &In, Document &Doc, std::string &Error) {
       Error = "family lacks name/type/samples";
       return false;
     }
+    if (Type->Str != "counter" && Type->Str != "histogram") {
+      Error = "unknown type '" + Type->Str + "' for " + Name->Str;
+      return false;
+    }
     Family &F = Doc.Families[Name->Str];
     F.Type = Type->Str;
-    F.Declared = true;
     F.Timing = Timing && Timing->K == Value::Kind::Bool && Timing->B;
     for (const Value &SV : Samples->Items) {
       const Value *Labels = SV.find("labels");
@@ -253,29 +101,14 @@ bool loadJson(std::istream &In, Document &Doc, std::string &Error) {
           return false;
         }
         HistSeries &H = F.Hists[Key];
-        H.HaveCount = true;
         H.Count = Count->Num;
-        H.HaveSum = true;
         H.Sum = Sum->Num;
-        // Raw per-bucket counts -> cumulative (le = 2^i), plus +Inf == the
-        // declared total so the shared validation below applies unchanged.
-        double Cum = 0;
-        for (size_t I = 0; I < Buckets->Items.size(); ++I) {
-          const Value &B = Buckets->Items[I];
-          if (!B.isNumber() || B.Num < 0) {
-            Error = "negative or non-numeric bucket in " + Name->Str;
+        for (const Value &B : Buckets->Items) {
+          if (!B.isNumber()) {
+            Error = "non-numeric bucket in " + Name->Str;
             return false;
           }
-          Cum += B.Num;
-          H.Buckets.emplace_back(double(uint64_t(1) << I), Cum);
-        }
-        H.HaveInf = true;
-        H.Inf = H.Count; // trimmed tail folds into +Inf by construction
-        if (Cum > H.Count + 0.5) {
-          Error = "histogram " + Name->Str + " buckets sum to " +
-                  std::to_string(Cum) + " > count " +
-                  std::to_string(H.Count);
-          return false;
+          H.Buckets.push_back(B.Num);
         }
       } else {
         const Value *V = SV.find("value");
@@ -290,12 +123,6 @@ bool loadJson(std::istream &In, Document &Doc, std::string &Error) {
   return true;
 }
 
-bool loadText(const std::string &Text, bool Json, Document &Doc,
-              std::string &Error) {
-  std::istringstream In(Text);
-  return Json ? loadJson(In, Doc, Error) : loadPrometheus(In, Doc, Error);
-}
-
 bool validate(const Document &Doc, std::string &Error, size_t &Counters,
               size_t &Histograms) {
   for (const auto &[Name, F] : Doc.Families) {
@@ -308,32 +135,24 @@ bool validate(const Document &Doc, std::string &Error, size_t &Counters,
         }
         ++Counters;
       }
-    } else if (F.Type == "histogram") {
+    } else {
       for (const auto &[Labels, H] : F.Hists) {
         auto Fail = [&](const std::string &Message) {
           Error = "histogram " + Name + "{" + Labels + "}: " + Message;
           return false;
         };
-        if (!H.HaveCount || !H.HaveSum || !H.HaveInf)
-          return Fail("incomplete series (missing _count, _sum, or +Inf)");
-        if (H.Count < 0 || H.Sum < 0)
-          return Fail("negative count or sum");
-        double Prev = 0;
-        double PrevLe = -1;
-        for (const auto &[Le, Cum] : H.Buckets) {
-          if (Le <= PrevLe)
-            return Fail("le bounds not increasing");
-          if (Cum < Prev)
-            return Fail("cumulative bucket decreases at le=" +
-                        std::to_string(Le));
-          Prev = Cum;
-          PrevLe = Le;
+        if (!std::isfinite(H.Count) || !std::isfinite(H.Sum) ||
+            H.Count < 0 || H.Sum < 0)
+          return Fail("negative or non-finite count or sum");
+        double Total = 0;
+        for (size_t I = 0; I < H.Buckets.size(); ++I) {
+          if (H.Buckets[I] < 0)
+            return Fail("bucket " + std::to_string(I) + " is negative");
+          Total += H.Buckets[I];
         }
-        if (H.Inf < Prev)
-          return Fail("+Inf bucket below the last finite bucket");
-        if (H.Inf != H.Count)
-          return Fail("+Inf bucket (" + std::to_string(H.Inf) +
-                      ") != count (" + std::to_string(H.Count) + ")");
+        if (Total > H.Count)
+          return Fail("buckets sum to " + std::to_string(Total) +
+                      " > count " + std::to_string(H.Count));
         ++Histograms;
       }
     }

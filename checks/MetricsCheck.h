@@ -1,4 +1,4 @@
-//===- checks/MetricsCheck.h - Metrics exposition validation ----*- C++ -*-===//
+//===- checks/MetricsCheck.h - Metrics document validation ------*- C++ -*-===//
 //
 // Part of the fast-transducers project (see support/Hashing.h).
 //
@@ -6,19 +6,16 @@
 ///
 /// \file
 /// The validation core behind tools/metrics_check, exposed as a library so
-/// every consumer of a metrics exposition — the standalone validator and
-/// the concurrent-flush test — applies the *same* invariants to the same
-/// grammar:
+/// every consumer of a metrics document applies the *same* invariants to
+/// the same grammar:
 ///
-///   * Prometheus text v0.0.4 (`# HELP/# TYPE/# TIMING` comments and
-///     `name{labels} value` sample lines) or the schema_version-1 JSON doc;
-///   * every sample belongs to a family with a declared TYPE, and histogram
-///     series (`_bucket`/`_sum`/`_count`) only appear under histogram
-///     families;
+///   * the schema_version-1 JSON document MetricsSnapshot::json() writes:
+///     each family names a "counter" or "histogram" type, and each sample a
+///     label object plus a value (counter) or count/sum_us/buckets
+///     (histogram);
 ///   * counter and histogram values are finite and non-negative;
-///   * histogram buckets are consistent: cumulative `le` buckets never
-///     decrease, the `+Inf` bucket equals `_count`, and in the JSON form
-///     the per-bucket counts sum to at most `count`;
+///   * each histogram's raw per-bucket counts are non-negative and sum to
+///     at most its `count`;
 ///   * (two documents) non-timing counters never decrease between
 ///     snapshots of the same process.
 ///
@@ -34,28 +31,20 @@
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace fast::obs::metricscheck {
 
-/// One histogram series, reassembled from either format.  Buckets are kept
-/// as (le, cumulative-count) in file order for the Prometheus form; the JSON
-/// form stores raw per-bucket counts and is converted on load.
+/// One histogram series: its raw per-bucket counts, as in the document.
 struct HistSeries {
-  std::vector<std::pair<double, double>> Buckets; // (le, cumulative)
-  bool HaveInf = false;
-  double Inf = 0;
-  bool HaveSum = false;
+  std::vector<double> Buckets;
   double Sum = 0;
-  bool HaveCount = false;
   double Count = 0;
 };
 
 struct Family {
-  std::string Type; // "counter" | "gauge" | "histogram"
+  std::string Type; // "counter" | "histogram"
   bool Timing = false;
-  bool Declared = false; // saw a TYPE declaration
   /// Scalar samples keyed by their canonical (sorted) label string.
   std::map<std::string, double> Scalars;
   std::map<std::string, HistSeries> Hists;
@@ -66,21 +55,13 @@ struct Document {
   size_t Samples = 0;
 };
 
-/// Parses a Prometheus text v0.0.4 exposition.  False with \p Error set on
+/// Parses the schema_version-1 JSON document.  False with \p Error set on
 /// grammar violations.
-bool loadPrometheus(std::istream &In, Document &Doc, std::string &Error);
-
-/// Parses the schema_version-1 JSON document.
 bool loadJson(std::istream &In, Document &Doc, std::string &Error);
 
-/// Parses \p Text in whichever format \p Json selects — the in-memory
-/// entry point for validating a document already read into memory.
-bool loadText(const std::string &Text, bool Json, Document &Doc,
-              std::string &Error);
-
-/// Single-document structural checks (declared types, non-negative
-/// counters, bucket consistency).  On success \p Counters / \p Histograms
-/// accumulate the number of validated series.
+/// Single-document structural checks (non-negative counters, bucket
+/// consistency).  On success \p Counters / \p Histograms accumulate the
+/// number of validated series.
 bool validate(const Document &Doc, std::string &Error, size_t &Counters,
               size_t &Histograms);
 

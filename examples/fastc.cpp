@@ -21,17 +21,12 @@
 //                  also when an exhausted budget or another error stops
 //                  the run, but never beside --export's program.
 //   --metrics=FILE write the session's unified metrics snapshot (engine,
-//                  solver, VM, and program counters) on every exit after
-//                  the program ran, --export included: FILE ending in
-//                  ".json" gets the versioned JSON document, anything
-//                  else the Prometheus text exposition (v0.0.4).
+//                  solver, VM, and program counters) as one versioned JSON
+//                  document, whatever FILE's extension, once, on every
+//                  exit after the program ran, --export included.
 //                  FAST_METRICS in the environment is the flag-less
-//                  equivalent.  With FAST_METRICS_INTERVAL_MS=MS
-//                  a flusher thread also rewrites FILE every MS
-//                  milliseconds while the program runs.  Every write goes
-//                  to FILE.tmp and is renamed over FILE, so a reader never
-//                  sees a partial document and a killed run never leaves
-//                  one.
+//                  equivalent.  The write goes to FILE.tmp and is renamed
+//                  over FILE, so a reader never sees a partial document.
 //   --max-states=N cap every construction's exploration at N distinct
 //                  states (the engine's MaxStates budget); exceeding it
 //                  stops the run with an error.
@@ -161,33 +156,12 @@ int main(int Argc, char **Argv) {
 
   engine::ProgramStats &Program = S.stats().program();
 
-  // --metrics + FAST_METRICS_INTERVAL_MS: refresh the metrics file on a
-  // cadence while the program runs, so the on-disk exposition tracks a
-  // long run (and survives a forced abort mid-run).  Its destructor stops
-  // the thread with a final flush on every exit path.
-  engine::MetricsFileFlusher Flusher;
-  if (MetricsPath)
-    if (const char *Iv = std::getenv("FAST_METRICS_INTERVAL_MS"); Iv && *Iv) {
-      char *End = nullptr;
-      long Ms = std::strtol(Iv, &End, 10);
-      if (End != Iv && *End == '\0' && Ms > 0)
-        Flusher.start(S.engine(), MetricsPath, static_cast<unsigned>(Ms));
-    }
-
-  // The exit-time --metrics write goes through the flusher's atomic
-  // tmp+rename path so a reader racing the exit never sees a partial
-  // document.  The periodic flusher stops first: the two writers share
-  // FILE.tmp, and one's rename would carry off the other's file.
+  // The --metrics write, on every exit after the program ran.
   auto WriteMetrics = [&]() -> bool {
-    if (!MetricsPath)
+    if (!MetricsPath || engine::writeMetricsFile(S.engine(), MetricsPath))
       return true;
-    Flusher.stop();
-    if (!engine::MetricsFileFlusher::flushOnce(S.engine(), MetricsPath)) {
-      std::cerr << "fastc: cannot open metrics file '" << MetricsPath
-                << "'\n";
-      return false;
-    }
-    return true;
+    std::cerr << "fastc: cannot open metrics file '" << MetricsPath << "'\n";
+    return false;
   };
 
   FastProgramResult R;

@@ -23,12 +23,13 @@
 ///                   program-level counters
 ///
 /// Every output renders that snapshot: `fastc --stats` its text(),
-/// `--metrics` its exposition, and the benchmark records' `engine`
-/// objects its JSON without timing families.
+/// `--metrics` its JSON document (written once, by writeMetricsFile, when
+/// fastc exits), and the benchmark records' `engine` objects its JSON
+/// without timing families.
 ///
-/// MetricsFileFlusher writes that snapshot to a file, once or periodically
-/// from its own thread while the session runs (`fastc --metrics=FILE`, with
-/// FAST_METRICS_INTERVAL_MS for the periodic mode).
+/// No thread reads a live registry: parallel workers merge their shards
+/// under the runner's mutex, and the session thread collects after the
+/// join.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,11 +38,7 @@
 
 #include "obs/Metrics.h"
 
-#include <condition_variable>
-#include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 
 namespace fast::engine {
 
@@ -52,44 +49,12 @@ class SessionEngine;
 /// order, construction labels in name order.
 void collectSessionMetrics(const SessionEngine &Eng, obs::MetricsSnapshot &Snap);
 
-/// Periodically collects the session metrics and writes the exposition to
-/// a file, atomically (write <path>.tmp, then rename) so readers never see
-/// a partial document even if the process aborts mid-flush.  The format
-/// follows the path suffix: ".json" -> JSON document, else Prometheus
-/// text.  fastc drives this from --metrics=FILE + FAST_METRICS_INTERVAL_MS.
-class MetricsFileFlusher {
-public:
-  MetricsFileFlusher() = default;
-  ~MetricsFileFlusher() { stop(); }
-  MetricsFileFlusher(const MetricsFileFlusher &) = delete;
-  MetricsFileFlusher &operator=(const MetricsFileFlusher &) = delete;
-
-  /// Starts the flush thread; writes every \p IntervalMs until stop().
-  /// Flushes once immediately so a file exists from the start.
-  void start(const SessionEngine &Eng, std::string Path, unsigned IntervalMs);
-
-  /// Final flush + join.  Idempotent; the destructor calls it too.
-  void stop();
-
-  bool running() const { return Thread.joinable(); }
-  uint64_t flushCount() const;
-
-  /// One atomic collect+write (also the body of each periodic tick).
-  /// Exposed so fastc's non-periodic --metrics path shares the writer.
-  /// Every writer of \p Path shares \p Path.tmp, so call it only while no
-  /// flusher thread writes the same path (stop() that flusher first).
-  static bool flushOnce(const SessionEngine &Eng, const std::string &Path);
-
-private:
-  const SessionEngine *Engine = nullptr;
-  std::string Path;
-  unsigned IntervalMs = 0;
-  std::thread Thread;
-  mutable std::mutex Mu;
-  std::condition_variable Cv;
-  bool Stop = false;
-  uint64_t Flushes = 0;
-};
+/// Collects the session metrics and writes their JSON document to \p Path:
+/// first to <Path>.tmp, then rename(2) over \p Path, so a reader of \p Path
+/// never sees a partial document, even if the writer is killed.  False
+/// when the file cannot be written.  fastc calls this on every exit after
+/// the program ran (--metrics=FILE or FAST_METRICS).
+bool writeMetricsFile(const SessionEngine &Eng, const std::string &Path);
 
 } // namespace fast::engine
 

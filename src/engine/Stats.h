@@ -151,15 +151,17 @@ public:
   /// The (created-on-demand) stats slot for \p Name.  References remain
   /// valid for the registry's lifetime — reset() zeroes slots in place
   /// and never erases them.  Slot creation is serialized against
-  /// slotsLock() holders, so a scrape thread iterating constructions()
-  /// under the lock never races a map insertion.
+  /// slotsLock() holders, so an iteration of constructions() under the
+  /// lock never races a map insertion.
   ConstructionStats &construction(std::string_view Name);
 
   /// Guards the *structure* of the construction map (node creation), not
-  /// the counters inside the slots — those are relaxed cells readable
-  /// without any lock.  Hold this while iterating constructions() from a
-  /// thread that may race new construction names (the periodic metrics
-  /// flusher, or perfbench reading counters mid-run).
+  /// the counters inside the slots — those are relaxed cells.
+  /// collectSessionMetrics and perfbench hold it while they iterate
+  /// constructions().  No thread reads a live registry: workers merge
+  /// under the runner's mutex, the session thread reads after the join,
+  /// and perfbench reads each session's counters on the thread that runs
+  /// that session.
   std::unique_lock<std::mutex> slotsLock() const {
     return std::unique_lock<std::mutex>(MapMu);
   }

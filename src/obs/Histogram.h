@@ -13,14 +13,13 @@
 /// ConstructionStats and Solver::Stats and survives their
 /// reset-by-assignment idiom.
 ///
-/// Fields are single-writer relaxed atomics (support/RelaxedCell.h) so the
-/// periodic metrics flusher's thread can snapshot a histogram while its
-/// owner records into it.  A snapshot taken mid-record must still satisfy
-/// the exposition invariant `sum(buckets) <= count` (metrics_check rejects a
-/// +Inf bucket below the last cumulative one), so record() bumps Count
-/// BEFORE the bucket, publishing the bucket with a release store, and the
-/// copy path reads every bucket (acquire) BEFORE Count: any bucket
-/// increment a reader observes carries its Count increment with it.
+/// Fields are single-writer relaxed atomics (support/RelaxedCell.h).  No
+/// thread copies a histogram while its owner records into it (see
+/// RelaxedCell.h), but a copy taken mid-record would still satisfy the
+/// invariant metrics_check enforces, `sum(buckets) <= count`: record()
+/// bumps Count BEFORE the bucket, publishing the bucket with a release
+/// store, and the copy path reads every bucket (acquire) BEFORE Count, so
+/// any bucket increment a reader observes carries its Count increment.
 ///
 //===----------------------------------------------------------------------===//
 

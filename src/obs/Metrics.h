@@ -8,11 +8,11 @@
 /// The telemetry plane's metric model.  A MetricsSnapshot is a
 /// point-in-time, plain-data copy of every metric the session knows about:
 /// the families bridged from StatsRegistry, Solver::Stats, and VmStats (see
-/// engine/MetricsBridge.h).  Snapshots render to the two exposition formats
-/// (Prometheus text v0.0.4 and a versioned JSON document) and to the
-/// text `fastc --stats` prints.  A stats struct declares each counter once:
-/// its field plus a {key, help, member} entry in its static counters() or
-/// histograms() table, which mergeFields and addFields walk.
+/// engine/MetricsBridge.h).  Snapshots render to one exposition format, a
+/// versioned JSON document, and to the text `fastc --stats` prints.  A
+/// stats struct declares each counter once: its field plus a {key, help,
+/// member} entry in its static counters() or histograms() table, which
+/// mergeFields and addFields walk.
 ///
 /// Families carry a `Timing` flag: metrics whose values depend on wall-clock
 /// measurements (wall_ms and every *_us histogram).  Exposition can
@@ -35,11 +35,11 @@
 
 namespace fast::obs {
 
-enum class MetricKind { Counter, Gauge, Histogram };
+enum class MetricKind { Counter, Histogram };
 
-/// One labelled sample inside a family.  Counter/gauge samples use `Value`;
+/// One labelled sample inside a family.  Counter samples use `Value`;
 /// histogram samples carry the full LatencyHistogram so exposition can emit
-/// cumulative buckets.
+/// its buckets.
 struct MetricSample {
   std::vector<std::pair<std::string, std::string>> Labels;
   double Value = 0;
@@ -88,8 +88,8 @@ template <typename S> void mergeFields(S &Into, const S &From) {
     (Into.*H.Member).merge(From.*H.Member);
 }
 
-/// A point-in-time collection of metric families, renderable as Prometheus
-/// text exposition v0.0.4, a versioned JSON document, or plain text.
+/// A point-in-time collection of metric families, renderable as a versioned
+/// JSON document or as plain text.
 class MetricsSnapshot {
 public:
   static constexpr int SchemaVersion = 1;
@@ -98,14 +98,6 @@ public:
   /// help, and timing flag) on first use.  Families keep insertion order.
   MetricFamily &family(std::string Name, MetricKind Kind, std::string Help,
                        bool Timing = false);
-
-  /// Convenience: append a label-less sample to \p Name.
-  void addCounter(std::string Name, std::string Help, double Value,
-                  bool Timing = false);
-  void addGauge(std::string Name, std::string Help, double Value,
-                bool Timing = false);
-  void addHistogram(std::string Name, std::string Help,
-                    const LatencyHistogram &H, bool Timing = true);
 
   /// Appends a sample labelled \p Labels to the family of each field in
   /// \p S's tables, in table order.
@@ -124,12 +116,9 @@ public:
   const std::vector<MetricFamily> &families() const { return Families; }
   const MetricFamily *find(const std::string &Name) const;
 
-  /// Prometheus text exposition format v0.0.4.  Timing families carry a
-  /// `# TIMING` comment line so downstream diffs can exclude them; pass
-  /// IncludeTiming=false to drop them entirely.
-  std::string prometheus(bool IncludeTiming = true) const;
-
-  /// Versioned JSON document: {"schema_version":1,"families":[...]}.
+  /// Versioned JSON document: {"schema_version":1,"families":[...]}.  Each
+  /// family carries its `timing` flag; IncludeTiming=false drops timing
+  /// families entirely.
   std::string json(bool IncludeTiming = true) const;
 
   /// One line per family: its name, then each sample as label=value (an

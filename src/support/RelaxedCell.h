@@ -5,16 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A drop-in replacement for plain counter fields that must be readable by
-/// a concurrent observer (the periodic metrics flusher's thread, or
-/// perfbench reading counters mid-run) while a single writer mutates them.
-/// Each cell wraps a std::atomic accessed with
-/// relaxed ordering; compound updates are expressed as load-then-store,
+/// A drop-in replacement for plain counter fields.  Each cell wraps a
+/// std::atomic accessed with relaxed ordering, so a read that overlapped
+/// its writer would be torn-free and race-free under tsan.  No thread reads
+/// a live registry today: parallel workers merge their shards into the
+/// session under the runner's mutex, the session thread reads after the
+/// join, and perfbench reads each session's counters on the thread that
+/// runs that session.  Compound updates are expressed as load-then-store,
 /// NOT fetch_add, because every cell has exactly one writer at a time (the
 /// session thread, or one worker thread before its shard is merged) and a
 /// plain store avoids the LOCK prefix on x86 — the whole point is to keep
-/// the hot increment as cheap as the plain `++field` it replaces while
-/// making concurrent reads torn-free and race-free under tsan.
+/// the hot increment as cheap as the plain `++field` it replaces.
 ///
 /// The implicit conversion, assignment, and compound operators preserve the
 /// existing call-site idioms (`++C.Runs`, `C.WallMs += Ms`,

@@ -124,8 +124,9 @@ TEST(ArTest, ConflictMatchesDynamicObservation) {
       bool DynamicDouble = false;
       for (unsigned N : tagCounts(Out.front()))
         DynamicDouble |= N >= 2;
-      if (DynamicDouble)
+      if (DynamicDouble) {
         EXPECT_TRUE(C.Conflict);
+      }
     }
   }
 }

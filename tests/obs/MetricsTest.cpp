@@ -1,15 +1,13 @@
 //===- tests/obs/MetricsTest.cpp - Telemetry plane: metrics ---------------===//
 //
-// Covers MetricsSnapshot exposition (Prometheus text v0.0.4, the versioned
-// JSON document, timing-family exclusion, the --stats text), the bridged
-// session snapshot's subsystem coverage, its -j1 == -j4 determinism, and
-// the periodic file flusher writing valid, monotone snapshots while a -j 4
-// run mutates the counters it reads.
+// Covers MetricsSnapshot exposition (the versioned JSON document with
+// timing-family exclusion, and the --stats text), the bridged session
+// snapshot's subsystem coverage, the exit-time metrics file writer, and
+// the snapshot's -j1 == -j4 determinism.
 //
 //===----------------------------------------------------------------------===//
 
 #include "checks/JsonCheck.h"
-#include "checks/MetricsCheck.h"
 #include "engine/MetricsBridge.h"
 #include "fast/Fast.h"
 #include "obs/Metrics.h"
@@ -17,22 +15,19 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
-#include <vector>
 
 using namespace fast;
 using fast::obs::LatencyHistogram;
 using fast::obs::MetricFamily;
 using fast::obs::MetricKind;
+using fast::obs::MetricSample;
 using fast::obs::MetricsSnapshot;
-namespace mc = fast::obs::metricscheck;
 
 namespace {
 
@@ -42,6 +37,14 @@ std::string slurp(const std::string &Path) {
   std::stringstream Text;
   Text << In.rdbuf();
   return Text.str();
+}
+
+/// Appends \p Sample to the family \p Name, creating it on first use; as in
+/// every production family, a histogram is timing and a counter is not.
+void add(MetricsSnapshot &Snap, MetricKind Kind, const char *Name,
+         const char *Help, MetricSample Sample) {
+  Snap.family(Name, Kind, Help, Kind == MetricKind::Histogram)
+      .Samples.push_back(std::move(Sample));
 }
 
 /// Figure 8's analysis plus a pass/fail assertion batch — enough work to
@@ -65,51 +68,16 @@ const char *statsProgram() {
          "assert-true mapped in not_emp_list\n";
 }
 
-TEST(MetricsSnapshotTest, PrometheusExposition) {
-  MetricsSnapshot Snap;
-  Snap.addCounter("fast_runs_total", "Total runs", 3);
-  Snap.addGauge("fast_active", "Active now", 1);
-  LatencyHistogram H;
-  H.record(0.5); // bucket 0 (< 1us)
-  H.record(3);   // bucket 2 ([2,4)us)
-  H.record(3.5);
-  Snap.addHistogram("fast_op_us", "Op latency", H);
-  // Labelled sample via the family API.
-  MetricFamily &F = Snap.family("fast_steps_total", MetricKind::Counter,
-                                "Steps by phase");
-  F.Samples.push_back({{{"phase", "explore"}}, 7, {}});
-
-  std::string Text = Snap.prometheus();
-  EXPECT_NE(Text.find("# TYPE fast_runs_total counter\n"), std::string::npos);
-  EXPECT_NE(Text.find("fast_runs_total 3\n"), std::string::npos);
-  EXPECT_NE(Text.find("# TYPE fast_active gauge\n"), std::string::npos);
-  EXPECT_NE(Text.find("# TYPE fast_op_us histogram\n"), std::string::npos);
-  // Timing family marker (histograms default to timing).
-  EXPECT_NE(Text.find("# TIMING fast_op_us\n"), std::string::npos);
-  // Cumulative buckets: le="1" holds the sub-microsecond sample, le="4"
-  // accumulates all three; +Inf equals _count.
-  EXPECT_NE(Text.find("fast_op_us_bucket{le=\"1\"} 1\n"), std::string::npos);
-  EXPECT_NE(Text.find("fast_op_us_bucket{le=\"4\"} 3\n"), std::string::npos);
-  EXPECT_NE(Text.find("fast_op_us_bucket{le=\"+Inf\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(Text.find("fast_op_us_count 3\n"), std::string::npos);
-  EXPECT_NE(Text.find("fast_steps_total{phase=\"explore\"} 7\n"),
-            std::string::npos);
-
-  // Timing exclusion drops the histogram but keeps the logical counters —
-  // this is what makes -j1 vs -j4 byte-comparison possible.
-  std::string NoTiming = Snap.prometheus(/*IncludeTiming=*/false);
-  EXPECT_EQ(NoTiming.find("fast_op_us"), std::string::npos);
-  EXPECT_NE(NoTiming.find("fast_runs_total 3\n"), std::string::npos);
-}
-
 TEST(MetricsSnapshotTest, JsonExpositionParses) {
   MetricsSnapshot Snap;
-  Snap.addCounter("fast_runs_total", "Total \"quoted\" runs", 3);
+  add(Snap, MetricKind::Counter, "fast_runs_total", "Total \"quoted\" runs",
+      {{}, 3, {}});
   LatencyHistogram H;
   H.record(1);
   H.record(9);
-  Snap.addHistogram("fast_op_us", "Op latency", H);
+  add(Snap, MetricKind::Histogram, "fast_op_us", "Op latency", {{}, 0, H});
+  add(Snap, MetricKind::Counter, "fast_steps_total", "Steps by phase",
+      {{{"phase", "explore"}}, 7, {}});
 
   std::string Error;
   auto Doc = fast::obs::json::parse(Snap.json(), &Error);
@@ -120,7 +88,13 @@ TEST(MetricsSnapshotTest, JsonExpositionParses) {
   const auto *Families = Doc->find("families");
   ASSERT_NE(Families, nullptr);
   ASSERT_TRUE(Families->isArray());
-  ASSERT_EQ(Families->Items.size(), 2u);
+  ASSERT_EQ(Families->Items.size(), 3u);
+
+  const auto &Runs = Families->Items[0];
+  EXPECT_EQ(Runs.find("type")->Str, "counter");
+  EXPECT_EQ(Runs.find("help")->Str, "Total \"quoted\" runs");
+  EXPECT_FALSE(Runs.find("timing")->B);
+  EXPECT_EQ(Runs.find("samples")->Items[0].find("value")->Num, 3);
 
   const auto &Hist = Families->Items[1];
   EXPECT_EQ(Hist.find("type")->Str, "histogram");
@@ -132,21 +106,37 @@ TEST(MetricsSnapshotTest, JsonExpositionParses) {
   for (const auto &B : Sample.find("buckets")->Items)
     Sum += B.Num;
   EXPECT_EQ(Sum, 2);
+
+  // A labelled sample keeps its label pairs.
+  const auto &Steps = Families->Items[2].find("samples")->Items[0];
+  EXPECT_EQ(Steps.find("labels")->find("phase")->Str, "explore");
+  EXPECT_EQ(Steps.find("value")->Num, 7);
+
+  // Timing exclusion drops the histogram but keeps the logical counters —
+  // this is what makes -j1 vs -j4 byte-comparison possible.
+  std::string NoTiming = Snap.json(/*IncludeTiming=*/false);
+  EXPECT_EQ(NoTiming.find("fast_op_us"), std::string::npos);
+  auto Kept = fast::obs::json::parse(NoTiming, &Error);
+  ASSERT_TRUE(Kept.has_value()) << Error;
+  const auto &KeptFamilies = Kept->find("families")->Items;
+  ASSERT_EQ(KeptFamilies.size(), 2u);
+  EXPECT_EQ(KeptFamilies[0].find("name")->Str, "fast_runs_total");
+  EXPECT_EQ(KeptFamilies[1].find("name")->Str, "fast_steps_total");
 }
 
 TEST(MetricsSnapshotTest, TextPrintsOneLinePerFamily) {
   MetricsSnapshot Snap;
-  Snap.addCounter("fast_runs_total", "Total runs", 3);
-  MetricFamily &F = Snap.family("fast_steps_total", MetricKind::Counter,
-                                "Steps by phase");
-  F.Samples.push_back({{{"phase", "clean"}}, 13, {}});
-  F.Samples.push_back({{{"phase", "determinize"}}, 20, {}});
+  add(Snap, MetricKind::Counter, "fast_runs_total", "Total runs", {{}, 3, {}});
+  add(Snap, MetricKind::Counter, "fast_steps_total", "Steps by phase",
+      {{{"phase", "clean"}}, 13, {}});
+  add(Snap, MetricKind::Counter, "fast_steps_total", "Steps by phase",
+      {{{"phase", "determinize"}}, 20, {}});
   LatencyHistogram H;
   for (int I = 0; I < 5; ++I) {
     H.record(3);      // bucket [2,4)us: p50 is its midpoint 3
     H.record(100.25); // bucket [64,128)us: p95 and p99 are its midpoint 96
   }
-  Snap.addHistogram("fast_op_us", "Op latency", H);
+  add(Snap, MetricKind::Histogram, "fast_op_us", "Op latency", {{}, 0, H});
 
   EXPECT_EQ(Snap.text(), "fast_runs_total 3\n"
                          "fast_steps_total clean=13 determinize=20\n"
@@ -184,7 +174,25 @@ TEST(StatsShimTest, SnapshotCoversAllSubsystems) {
   EXPECT_GT(Total, 0);
 }
 
-// "Parallel"-prefixed so the TSan preset's ctest filter picks these up.
+TEST(StatsShimTest, WriteMetricsFileLeavesTheJsonDocument) {
+  Session S;
+  FastProgramResult R = runFastProgram(S, statsProgram());
+  ASSERT_EQ(R.ErrorCount, 0u) << R.DiagText;
+
+  // The extension is no format switch: the file is the JSON document.
+  const std::string Path = testing::TempDir() + "/write_metrics.prom";
+  std::remove(Path.c_str());
+  ASSERT_TRUE(engine::writeMetricsFile(S.engine(), Path));
+  MetricsSnapshot Snap;
+  engine::collectSessionMetrics(S.engine(), Snap);
+  EXPECT_EQ(slurp(Path), Snap.json());
+  EXPECT_FALSE(std::filesystem::exists(Path + ".tmp")) << "tmp left behind";
+
+  EXPECT_FALSE(engine::writeMetricsFile(
+      S.engine(), testing::TempDir() + "/no_such_dir/metrics.json"));
+}
+
+// "Parallel"-prefixed so the TSan preset's ctest filter picks it up.
 
 TEST(ParallelMetricsTest, SnapshotsAreByteIdenticalAcrossThreadCounts) {
   // The determinism contract of the whole plane: a -j1 run and a -j4 run
@@ -197,74 +205,9 @@ TEST(ParallelMetricsTest, SnapshotsAreByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(R.ErrorCount, 0u) << R.DiagText;
     MetricsSnapshot Snap;
     engine::collectSessionMetrics(S.engine(), Snap);
-    return std::pair{Snap.prometheus(/*IncludeTiming=*/false),
-                     Snap.json(/*IncludeTiming=*/false)};
+    return Snap.json(/*IncludeTiming=*/false);
   };
-  auto [Prom1, Json1] = Expose(1);
-  auto [Prom4, Json4] = Expose(4);
-  EXPECT_EQ(Prom1, Prom4);
-  EXPECT_EQ(Json1, Json4);
-}
-
-TEST(ParallelMetricsTest, PeriodicFlushesStayValidAndMonotoneDuringARun) {
-  // The flusher thread collects the session metrics every millisecond
-  // while a 4-thread run creates construction slots and merges worker
-  // counters.  Every file a concurrent reader opens must be one complete
-  // snapshot (tmp + rename), and consecutive reads must never show a
-  // non-timing counter going backwards.
-  const std::string Path = testing::TempDir() + "/parallel_flush.prom";
-  const std::string Tmp = Path + ".tmp";
-  std::remove(Path.c_str());
-  std::remove(Tmp.c_str());
-
-  Session S;
-  engine::MetricsFileFlusher Flusher;
-  Flusher.start(S.engine(), Path, /*IntervalMs=*/1);
-  ASSERT_TRUE(Flusher.running());
-
-  std::atomic<bool> Done{false};
-  std::string Failure;
-  size_t Reads = 0;
-  std::thread Reader([&] {
-    mc::Document Prev;
-    while (!Done.load() && Failure.empty()) {
-      mc::Document Doc;
-      std::string Error;
-      size_t Counters = 0, Histograms = 0, Compared = 0;
-      // The bridge emits this family last, so a read without its sample
-      // saw a missing or truncated file.
-      const char *Last = "fast_program_runs_total";
-      const std::string Read = "read " + std::to_string(Reads);
-      if (!mc::loadText(slurp(Path), /*Json=*/false, Doc, Error) ||
-          !mc::validate(Doc, Error, Counters, Histograms))
-        Failure = Read + " invalid: " + Error;
-      else if (!Doc.Families.count(Last) ||
-               Doc.Families[Last].Scalars.empty())
-        Failure = Read + " is truncated";
-      else if (Reads && !mc::checkMonotone(Prev, Doc, Error, Compared))
-        Failure = Read + " regressed: " + Error;
-      Prev = std::move(Doc);
-      ++Reads;
-    }
-  });
-
-  FastRunOptions Opts;
-  Opts.Threads = 4;
-  FastProgramResult R = runFastProgram(S, statsProgram(), Opts);
-  Done.store(true);
-  Reader.join();
-  Flusher.stop();
-
-  EXPECT_EQ(R.ErrorCount, 0u) << R.DiagText;
-  EXPECT_TRUE(Failure.empty()) << Failure;
-  EXPECT_GT(Reads, 0u);
-  EXPECT_GT(Flusher.flushCount(), 1u);
-  EXPECT_FALSE(std::filesystem::exists(Tmp)) << Tmp << " left behind";
-
-  // stop()'s final flush leaves the settled session's snapshot on disk.
-  MetricsSnapshot Final;
-  engine::collectSessionMetrics(S.engine(), Final);
-  EXPECT_EQ(slurp(Path), Final.prometheus());
+  EXPECT_EQ(Expose(1), Expose(4));
 }
 
 } // namespace

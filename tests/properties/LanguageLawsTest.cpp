@@ -81,8 +81,9 @@ TEST_P(LanguageLaws, InclusionIsAPartialOrder) {
   EXPECT_TRUE(isSubsetLanguage(S.Solv, Inter, B));
   EXPECT_TRUE(isSubsetLanguage(S.Solv, A, Uni));
   EXPECT_TRUE(isSubsetLanguage(S.Solv, B, Uni));
-  if (isSubsetLanguage(S.Solv, A, B) && isSubsetLanguage(S.Solv, B, A))
+  if (isSubsetLanguage(S.Solv, A, B) && isSubsetLanguage(S.Solv, B, A)) {
     EXPECT_TRUE(areEquivalentLanguages(S.Solv, A, B));
+  }
 }
 
 TEST_P(LanguageLaws, RepresentationChangesPreserveTheLanguage) {
@@ -104,8 +105,9 @@ TEST_P(LanguageLaws, RepresentationChangesPreserveTheLanguage) {
 TEST_P(LanguageLaws, WitnessesAreMembers) {
   std::optional<TreeRef> W = witness(S.Solv, A, S.Trees);
   EXPECT_EQ(W.has_value(), !isEmptyLanguage(S.Solv, A));
-  if (W)
+  if (W) {
     EXPECT_TRUE(A.contains(*W)) << (*W)->str();
+  }
   // Witness of the difference is in A but not B.
   TreeLanguage Diff = differenceLanguages(S.Solv, A, B);
   if (std::optional<TreeRef> D = witness(S.Solv, Diff, S.Trees)) {

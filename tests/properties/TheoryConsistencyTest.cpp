@@ -96,8 +96,9 @@ TEST_P(TheoryConsistency, ModChainCollapsePreservesValues) {
                                   S.Terms.intConst(M));
     // The simplifier collapsed the chain to a single mod.
     EXPECT_TRUE(Outer->isConst() || Outer->kind() == TermKind::Mod);
-    if (Outer->kind() == TermKind::Mod)
+    if (Outer->kind() == TermKind::Mod) {
       EXPECT_NE(Outer->operand(0)->kind(), TermKind::Mod);
+    }
     for (int64_t V : {-20l, -7l, -1l, 0l, 3l, 11l, 26l}) {
       std::vector<Value> Attrs = {Value::integer(V), Value::string(""),
                                   Value::boolean(false),

@@ -95,8 +95,9 @@ TEST_P(TransducerLaws, Theorem4OverapproximationForNondet) {
     EXPECT_TRUE(std::includes(Composed.begin(), Composed.end(),
                               Sequential.begin(), Sequential.end()))
         << T->str();
-    if (C.isExact())
+    if (C.isExact()) {
       EXPECT_EQ(Composed, Sequential) << T->str();
+    }
   });
 }
 
@@ -153,8 +154,9 @@ TEST_P(TransducerLaws, TypeCheckAgreesWithSampling) {
     if (!In.contains(T))
       return;
     for (TreeRef O : runSttr(*T1, S.Trees, T)) {
-      if (Checked)
+      if (Checked) {
         EXPECT_TRUE(Out.contains(O)) << T->str() << " -> " << O->str();
+      }
     }
   });
 }

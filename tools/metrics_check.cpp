@@ -1,15 +1,14 @@
-//===- tools/metrics_check.cpp - Metrics exposition validator -------------===//
+//===- tools/metrics_check.cpp - Metrics document validator ---------------===//
 //
 // Validates a metrics file produced by the telemetry plane (fastc --metrics
-// or FAST_METRICS, written at exit or periodically under
-// FAST_METRICS_INTERVAL_MS):
+// or FAST_METRICS, written once at exit):
 //
-//   metrics_check <metrics.prom | metrics.json> [<later.prom | later.json>]
+//   metrics_check <metrics.json> [<later.json>]
 //
-// Accepts both exposition formats — Prometheus text v0.0.4 (anything not
-// ending in ".json") and the versioned JSON document.  The invariants live
-// in checks/MetricsCheck.{h,cpp} so the concurrent-flush test applies the
-// identical checks; this tool only adds file IO and the CLI.
+// Reads the versioned JSON document whatever the file's extension; any
+// other content (a Prometheus text exposition, say) is invalid.  The
+// invariants live in checks/MetricsCheck.{h,cpp}; this tool only adds file
+// IO and the CLI.
 //
 // With a second file, checks counter monotonicity between two snapshots of
 // the same process: every non-timing counter sample present in both must
@@ -25,7 +24,6 @@
 
 #include "checks/MetricsCheck.h"
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -33,11 +31,6 @@
 using namespace fast::obs::metricscheck;
 
 namespace {
-
-bool endsWith(const std::string &Text, const char *Suffix) {
-  size_t N = std::strlen(Suffix);
-  return Text.size() >= N && Text.compare(Text.size() - N, N, Suffix) == 0;
-}
 
 bool loadDocument(const std::string &Path, Document &Doc, std::string &Error,
                   int &ExitCode) {
@@ -47,19 +40,15 @@ bool loadDocument(const std::string &Path, Document &Doc, std::string &Error,
     ExitCode = 2;
     return false;
   }
-  bool Ok = endsWith(Path, ".json") ? loadJson(File, Doc, Error)
-                                    : loadPrometheus(File, Doc, Error);
-  if (!Ok)
-    ExitCode = 1;
-  return Ok;
+  ExitCode = 1;
+  return loadJson(File, Doc, Error);
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
   if (Argc != 2 && Argc != 3) {
-    std::cerr
-        << "usage: metrics_check <metrics.prom | metrics.json> [<later>]\n";
+    std::cerr << "usage: metrics_check <metrics.json> [<later.json>]\n";
     return 2;
   }
 

@@ -1,7 +1,8 @@
-# Runs fastc with --metrics on a real program (both exposition formats),
-# validates the files with metrics_check, and pins three contracts:
+# Runs fastc with --metrics on real programs, validates every file with
+# metrics_check (which reads the JSON document only), and pins four
+# contracts:
 #
-#  * coverage — the exposition must span all three bridged subsystems
+#  * coverage — the document must span all three bridged subsystems
 #    (fast_engine_*, fast_solver_*, fast_vm_*);
 #  * determinism — a -j 1 run and a -j 4 run must merge identical
 #    non-timing counters.  metrics_check's two-file mode asserts A <= B;
@@ -9,15 +10,13 @@
 #    contract is checked on PROGRAM and on LANGS_PROGRAM, whose language
 #    automaton is large (32 rules) and goes through complement and
 #    intersection in the sequential declaration tier;
-#  * one writer — with FAST_METRICS_INTERVAL_MS=1 a flusher thread
-#    rewrites the file every millisecond of a -j 4 run, and the exit-time
-#    write must not race it: each of PERIODIC_RUNS runs exits below 2,
-#    leaves a file metrics_check accepts, and leaves no FILE.tmp behind.
-#    When two writers share FILE.tmp, one rename can carry off the other's
-#    file and the loser exits 2.  That happened in 23 of 200 runs on a
-#    4-core host, so 50 runs catch it with probability above 0.99;
+#  * one format — the file is the JSON document whatever its extension,
+#    so a --metrics=FILE.prom run must leave a file metrics_check accepts;
 #  * every exit writes — `--export NAME` returns before the assertion
 #    report, and must still exit 0 and leave a file metrics_check accepts.
+#
+# Every leg also requires that no FILE.tmp remains: the write goes to
+# FILE.tmp and is renamed over FILE.
 #
 # Invoked by the metrics.smoke ctest as
 #   cmake -DFASTC=... -DMETRICS_CHECK=... -DPROGRAM=... -DLANGS_PROGRAM=...
@@ -34,16 +33,35 @@ endforeach()
 
 file(MAKE_DIRECTORY "${OUT_DIR}")
 
-# One run per format plus a second Prometheus run at -j 4 for the
-# determinism comparison, then a -j 1 / -j 4 pair on the langs program.
-foreach(Run "${PROGRAM}|metrics_j1.prom|1" "${PROGRAM}|metrics_j1.json|1"
-            "${PROGRAM}|metrics_j4.prom|4"
-            "${LANGS_PROGRAM}|langs_j1.prom|1" "${LANGS_PROGRAM}|langs_j4.prom|4")
+# Validates MetricsFile with metrics_check, requires that no MetricsFile.tmp
+# remains, and returns the summary line in CheckOut.
+function(check_metrics_file MetricsFile)
+  execute_process(
+    COMMAND "${METRICS_CHECK}" "${MetricsFile}"
+    RESULT_VARIABLE CheckResult
+    OUTPUT_VARIABLE Out
+    ERROR_VARIABLE CheckErr)
+  if(NOT CheckResult EQUAL 0)
+    message(FATAL_ERROR
+      "metrics_check rejected ${MetricsFile} (exit ${CheckResult}):\n${Out}${CheckErr}")
+  endif()
+  if(EXISTS "${MetricsFile}.tmp")
+    message(FATAL_ERROR "fastc left ${MetricsFile}.tmp behind")
+  endif()
+  set(CheckOut "${Out}" PARENT_SCOPE)
+endfunction()
+
+# A -j 1 / -j 4 pair on each program for the determinism comparison, and
+# one run whose file name does not end in ".json".
+foreach(Run "${PROGRAM}|metrics_j1.json|1" "${PROGRAM}|metrics_j4.json|4"
+            "${LANGS_PROGRAM}|langs_j1.json|1" "${LANGS_PROGRAM}|langs_j4.json|4"
+            "${PROGRAM}|metrics_j1.prom|1")
   string(REPLACE "|" ";" Run "${Run}")
   list(GET Run 0 Program)
   list(GET Run 1 FileName)
   list(GET Run 2 Jobs)
   set(MetricsFile "${OUT_DIR}/${FileName}")
+  file(REMOVE "${MetricsFile}" "${MetricsFile}.tmp")
   execute_process(
     COMMAND "${FASTC}" "--metrics=${MetricsFile}" -j ${Jobs} "${Program}"
     RESULT_VARIABLE RunResult
@@ -53,15 +71,7 @@ foreach(Run "${PROGRAM}|metrics_j1.prom|1" "${PROGRAM}|metrics_j1.json|1"
     message(FATAL_ERROR
       "fastc --metrics=${MetricsFile} failed (exit ${RunResult}):\n${RunOut}${RunErr}")
   endif()
-  execute_process(
-    COMMAND "${METRICS_CHECK}" "${MetricsFile}"
-    RESULT_VARIABLE CheckResult
-    OUTPUT_VARIABLE CheckOut
-    ERROR_VARIABLE CheckErr)
-  if(NOT CheckResult EQUAL 0)
-    message(FATAL_ERROR
-      "metrics_check rejected ${MetricsFile} (exit ${CheckResult}):\n${CheckOut}${CheckErr}")
-  endif()
+  check_metrics_file("${MetricsFile}")
   # The summary must confirm the counter and bucket checks actually ran.
   if(NOT CheckOut MATCHES "counter\\(s\\) non-negative" OR
      NOT CheckOut MATCHES "histogram\\(s\\) bucket-consistent")
@@ -69,7 +79,7 @@ foreach(Run "${PROGRAM}|metrics_j1.prom|1" "${PROGRAM}|metrics_j1.json|1"
       "metrics_check summary for ${MetricsFile} lacks the counter/bucket "
       "confirmation:\n${CheckOut}")
   endif()
-  # Coverage: all three bridged subsystems must appear in the exposition.
+  # Coverage: all three bridged subsystems must appear in the document.
   file(READ "${MetricsFile}" MetricsText)
   foreach(Prefix fast_engine_ fast_solver_ fast_vm_)
     if(NOT MetricsText MATCHES "${Prefix}")
@@ -82,8 +92,8 @@ endforeach()
 
 # Determinism: -j 1 and -j 4 merge identical non-timing counters.  The
 # two-file mode checks A <= B, so both directions passing means equality.
-foreach(Direction "metrics_j1.prom|metrics_j4.prom" "metrics_j4.prom|metrics_j1.prom"
-                  "langs_j1.prom|langs_j4.prom" "langs_j4.prom|langs_j1.prom")
+foreach(Direction "metrics_j1.json|metrics_j4.json" "metrics_j4.json|metrics_j1.json"
+                  "langs_j1.json|langs_j4.json" "langs_j4.json|langs_j1.json")
   string(REPLACE "|" ";" Direction "${Direction}")
   list(GET Direction 0 Earlier)
   list(GET Direction 1 Later)
@@ -104,45 +114,9 @@ foreach(Direction "metrics_j1.prom|metrics_j4.prom" "metrics_j4.prom|metrics_j1.
   message(STATUS "${Earlier} vs ${Later}: ${CheckOut}")
 endforeach()
 
-# One writer: the periodic flusher and the exit-time write must never
-# touch FILE.tmp at the same time.
-set(PERIODIC_RUNS 50)
-set(PeriodicFile "${OUT_DIR}/periodic_j4.prom")
-foreach(Iteration RANGE 1 ${PERIODIC_RUNS})
-  file(REMOVE "${PeriodicFile}" "${PeriodicFile}.tmp")
-  execute_process(
-    COMMAND "${CMAKE_COMMAND}" -E env FAST_METRICS_INTERVAL_MS=1
-            "${FASTC}" "--metrics=${PeriodicFile}" -j 4 "${PROGRAM}"
-    RESULT_VARIABLE RunResult
-    OUTPUT_VARIABLE RunOut
-    ERROR_VARIABLE RunErr)
-  if(RunResult GREATER 1)
-    message(FATAL_ERROR
-      "periodic run ${Iteration}/${PERIODIC_RUNS}: fastc "
-      "--metrics=${PeriodicFile} with FAST_METRICS_INTERVAL_MS=1 failed "
-      "(exit ${RunResult}):\n${RunErr}")
-  endif()
-  execute_process(
-    COMMAND "${METRICS_CHECK}" "${PeriodicFile}"
-    RESULT_VARIABLE CheckResult
-    OUTPUT_VARIABLE CheckOut
-    ERROR_VARIABLE CheckErr)
-  if(NOT CheckResult EQUAL 0)
-    message(FATAL_ERROR
-      "periodic run ${Iteration}/${PERIODIC_RUNS}: metrics_check rejected "
-      "${PeriodicFile} (exit ${CheckResult}):\n${CheckOut}${CheckErr}")
-  endif()
-  if(EXISTS "${PeriodicFile}.tmp")
-    message(FATAL_ERROR
-      "periodic run ${Iteration}/${PERIODIC_RUNS} left ${PeriodicFile}.tmp")
-  endif()
-endforeach()
-message(STATUS "periodic flush: ${PERIODIC_RUNS} runs at "
-               "FAST_METRICS_INTERVAL_MS=1 -j 4, one writer each")
-
 # Every exit after the run writes the file, the --export exit included.
-set(ExportFile "${OUT_DIR}/export.prom")
-file(REMOVE "${ExportFile}")
+set(ExportFile "${OUT_DIR}/export.json")
+file(REMOVE "${ExportFile}" "${ExportFile}.tmp")
 execute_process(
   COMMAND "${FASTC}" "--metrics=${ExportFile}" --export sani "${PROGRAM}"
   RESULT_VARIABLE RunResult
@@ -153,14 +127,5 @@ if(NOT RunResult EQUAL 0)
     "fastc --metrics=${ExportFile} --export sani failed "
     "(exit ${RunResult}):\n${RunErr}")
 endif()
-execute_process(
-  COMMAND "${METRICS_CHECK}" "${ExportFile}"
-  RESULT_VARIABLE CheckResult
-  OUTPUT_VARIABLE CheckOut
-  ERROR_VARIABLE CheckErr)
-if(NOT CheckResult EQUAL 0)
-  message(FATAL_ERROR
-    "--export run: metrics_check rejected ${ExportFile} "
-    "(exit ${CheckResult}):\n${CheckOut}${CheckErr}")
-endif()
-message(STATUS "export.prom: ${CheckOut}")
+check_metrics_file("${ExportFile}")
+message(STATUS "export.json: ${CheckOut}")
