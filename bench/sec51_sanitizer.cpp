@@ -17,9 +17,11 @@
 // `sec51_sanitizer --smoke` runs a shrunk sweep as the perf.vm_smoke
 // ctest gate: the composed sanitizer must be VM-eligible, issue zero
 // solver queries at run time, never fall back to the interpreter, and
-// reproduce the interpreter's output exactly; on uninstrumented builds
-// the VM must additionally not lose the wall-clock total to the
-// structural interpreter beyond a noise tolerance.
+// reproduce the interpreter's output exactly; the session must end the
+// sweep without a Z3 context, and its runners, attached one at a time,
+// must have shared one pooled Vm.  On uninstrumented builds the VM must
+// additionally not lose the wall-clock total to the structural
+// interpreter beyond a noise tolerance.
 //
 //===----------------------------------------------------------------------===//
 
@@ -161,8 +163,10 @@ int main(int Argc, char **Argv) {
       InterpOut = Runner.run(Doc);
     });
 
-    // (b) Compiled VM plane, symmetric: fresh runner + fresh Vm scratch
-    // state per repetition; only the immutable program is shared.  The
+    // (b) Compiled VM plane, symmetric: a fresh runner per repetition,
+    // whose Vm comes from the session's pool with its lookahead memo
+    // cleared, so no repetition warms another's verdicts; only the
+    // scratch capacity and the immutable program carry over.  The
     // solver-query counter must stay flat across these runs.
     std::vector<TreeRef> VmOut;
     uint64_t SatBefore = totalSatQueries(S);
@@ -224,6 +228,17 @@ int main(int Argc, char **Argv) {
                 << " (expected runs>0, fallbacks=0)\n";
       Ok = false;
     }
+    if (S.Solv.hasZ3Context()) {
+      std::cerr << "smoke gate FAILED: the sanitizer session built a Z3 "
+                   "context (its set-up and data path must not need one)\n";
+      Ok = false;
+    }
+    const size_t VmsBuilt = vm::programCache(S).vmsBuilt();
+    if (VmsBuilt != 1) {
+      std::cerr << "smoke gate FAILED: the sweep's runners built " << VmsBuilt
+                << " Vms (expected 1, reused from the session's pool)\n";
+      Ok = false;
+    }
     if (!InstrumentedBuild &&
         TotalVm > TotalFast * SmokeRelTolerance + SmokeAbsToleranceMs) {
       std::cerr << "smoke gate FAILED: vm total " << TotalVm
@@ -237,7 +252,7 @@ int main(int Argc, char **Argv) {
     if (!Ok)
       return 1;
     std::cout << "smoke gate passed (vm runs " << VS.Runs << ", fallbacks 0, "
-              << "run-time solver queries 0)\n";
+              << "run-time solver queries 0, no Z3 context, 1 Vm)\n";
     return 0;
   }
 

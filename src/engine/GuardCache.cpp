@@ -26,7 +26,6 @@ GuardCache::~GuardCache() = default;
 void GuardCache::clearMemos() {
   SatMemo.clear();
   ValidMemo.clear();
-  ImplMemo.clear();
   Trie = std::make_unique<MintermTrie>(Solv);
 }
 
@@ -52,19 +51,6 @@ bool GuardCache::isValid(TermRef Pred) {
   }
   auto T0 = std::chrono::steady_clock::now();
   It->second = Solv.isValid(Pred);
-  recordQueryLatency(usSince(T0));
-  return It->second;
-}
-
-bool GuardCache::implies(TermRef A, TermRef B) {
-  count(&ConstructionStats::SatQueries);
-  auto [It, Fresh] = ImplMemo.try_emplace({A, B}, false);
-  if (!Fresh) {
-    count(&ConstructionStats::SatCacheHits);
-    return It->second;
-  }
-  auto T0 = std::chrono::steady_clock::now();
-  It->second = Solv.implies(A, B);
   recordQueryLatency(usSince(T0));
   return It->second;
 }

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A per-session memo for guard satisfiability/validity/implication and
-/// minterm enumerations, keyed on interned term identity and layered over
+/// A per-session memo for guard satisfiability/validity and minterm
+/// enumerations, keyed on interned term identity and layered over
 /// the Solver's own caches.  Every construction issues its guard queries
 /// through this cache, so identical queries recurring across
 /// constructions (e.g. determinize-then-product pipelines in type
@@ -27,11 +27,9 @@
 #include "smt/MintermTrie.h"
 #include "smt/Solver.h"
 
-#include <map>
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace fast::engine {
@@ -52,10 +50,6 @@ public:
 
   /// Validity of \p Pred, memoized by term identity.
   bool isValid(TermRef Pred);
-
-  /// Implication A => B, memoized by term-pair identity on top of the
-  /// Solver's subsumption-aware implication core.
-  bool implies(TermRef A, TermRef B);
 
   /// The minterm partition of \p Guards.  The input is canonicalized
   /// (sorted by term id, deduplicated) before lookup, so any permutation
@@ -96,7 +90,6 @@ private:
   StatsRegistry &Stats;
   std::unordered_map<TermRef, bool> SatMemo;
   std::unordered_map<TermRef, bool> ValidMemo;
-  std::map<std::pair<TermRef, TermRef>, bool> ImplMemo;
   std::unique_ptr<MintermTrie> Trie;
   bool TrieEnabled = true;
 };

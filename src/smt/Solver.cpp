@@ -81,14 +81,10 @@ bool syntacticallyImplies(TermRef A, TermRef B) {
 
 } // namespace
 
+/// The Z3 side of a Solver: built by the first check that reaches Z3 and
+/// kept until the Solver dies.
 struct Solver::Impl {
-  explicit Impl(unsigned TimeoutMs) : TimeoutMs(TimeoutMs) {}
-
   z3::context Ctx;
-  /// Per-check Z3 timeout (0 = none), set on every solver object this
-  /// context creates — never as a global parameter, which would leak into
-  /// every other Solver of the process.
-  unsigned TimeoutMs;
   /// isSat's long-lived solver.  Each query runs under push/pop, which is
   /// much cheaper than a fresh solver per query, so it holds no assertion
   /// between queries; resetForReuse keeps it, because the first check on
@@ -98,8 +94,10 @@ struct Solver::Impl {
   /// witnesses are those of a fresh context.
   std::unique_ptr<z3::solver> ModelSol;
 
-  /// \p Slot's solver, built on first use.
-  z3::solver &solver(std::unique_ptr<z3::solver> &Slot) {
+  /// \p Slot's solver, built on first use with a per-check timeout of
+  /// \p TimeoutMs (0 = none) — set on the solver object, never as a global
+  /// parameter, which would leak into every other Solver of the process.
+  z3::solver &solver(std::unique_ptr<z3::solver> &Slot, unsigned TimeoutMs) {
     if (!Slot) {
       Slot = std::make_unique<z3::solver>(Ctx);
       if (TimeoutMs != 0) {
@@ -223,10 +221,15 @@ struct Solver::Impl {
 };
 
 Solver::Solver(TermFactory &Factory, unsigned TimeoutMs)
-    : Factory(Factory), Z3(std::make_unique<Impl>(TimeoutMs)),
-      TimeoutMs(TimeoutMs) {}
+    : Factory(Factory), TimeoutMs(TimeoutMs) {}
 
 Solver::~Solver() = default;
+
+Solver::Impl &Solver::z3Context() {
+  if (!Z3)
+    Z3 = std::make_unique<Impl>();
+  return *Z3;
+}
 
 SolverExtension::~SolverExtension() = default;
 
@@ -285,7 +288,9 @@ void Solver::resetForReuse() {
   // The Z3 context survives (creating one is the constant this reset
   // exists to avoid paying per task), and so does isSat's solver, which
   // is empty after every pop.  getModel's solver is dropped and lazily
-  // rebuilt.
+  // rebuilt.  A solver that never reached Z3 has nothing to drop.
+  if (!Z3)
+    return;
   Z3->Memo.clear();
   Z3->MemoExprs.clear();
   Z3->ModelSol.reset();
@@ -347,11 +352,14 @@ bool Solver::isSat(TermRef Pred) {
   }
 
   bool Result = true;
-  auto T0 = std::chrono::steady_clock::now();
-  double SpanStart = Trace && Trace->active() ? Trace->nowUs() : 0;
   try {
-    z3::expr E = Z3->translate(Pred);
-    z3::solver &S = Z3->solver(Z3->Sol);
+    Impl &Z = z3Context();
+    // Timed from here: building the context is the solver's one-off cost,
+    // not this check's.
+    auto T0 = std::chrono::steady_clock::now();
+    double SpanStart = Trace && Trace->active() ? Trace->nowUs() : 0;
+    z3::expr E = Z.translate(Pred);
+    z3::solver &S = Z.solver(Z.Sol, TimeoutMs);
     S.push();
     S.add(E);
     ++Counters.CoreChecks;
@@ -518,8 +526,9 @@ std::optional<AttrModel> Solver::getModel(TermRef Pred) {
         Self(Self, Op);
     };
     Collect(Collect, Pred);
-    z3::expr E = Z3->translate(Pred);
-    z3::solver &S = Z3->solver(Z3->ModelSol);
+    Impl &Z = z3Context();
+    z3::expr E = Z.translate(Pred);
+    z3::solver &S = Z.solver(Z.ModelSol, TimeoutMs);
     S.push();
     S.add(E);
     ++Counters.Z3ModelChecks;
@@ -538,7 +547,7 @@ std::optional<AttrModel> Solver::getModel(TermRef Pred) {
       if (Result.count(Attr))
         continue;
       z3::expr Const =
-          Z3->Ctx.constant(attrConstName(Attr).c_str(), Z3->z3Sort(Attr->sort()));
+          Z.Ctx.constant(attrConstName(Attr).c_str(), Z.z3Sort(Attr->sort()));
       z3::expr V = M.eval(Const, /*model_completion=*/true);
       switch (Attr->sort()) {
       case Sort::Bool:

@@ -15,6 +15,12 @@
 /// Results of satisfiability queries are cached by term identity; the cache
 /// can be disabled for the ablation benchmark.
 ///
+/// The Z3 context is built by the first check that reaches Z3 (isSat past
+/// the built-in procedure, or getModel), not by the constructor: a session
+/// whose guards the trivial, cached, built-in and subsumption tiers all
+/// decide — the sanitizer's, an overlay that only runs compiled programs —
+/// never pays the millisecond a context costs.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FAST_SMT_SOLVER_H
@@ -60,7 +66,7 @@ public:
 class Solver {
 public:
   /// Creates a solver working over terms of \p Factory.  \p TimeoutMs bounds
-  /// each individual Z3 query (0 = no limit).
+  /// each individual Z3 query (0 = no limit).  Builds no Z3 context.
   explicit Solver(TermFactory &Factory, unsigned TimeoutMs = 10000);
   ~Solver();
   Solver(const Solver &) = delete;
@@ -151,15 +157,17 @@ public:
   void resetStats() { Counters = Stats(); }
 
   /// Returns the solver to its just-constructed state while keeping what
-  /// is expensive to create: the Z3 context, and isSat's Z3 solver, which
-  /// holds no assertion between queries.  Drops every sat/validity/
-  /// implication cache entry, the term-to-Z3 translation memo, and
-  /// getModel's Z3 solver, so witnesses stay those of a fresh solver.  The
-  /// pooled worker-context reset path calls this before its overlay term
-  /// factory is reset, so no cache survives that is keyed by
-  /// about-to-dangle TermRefs.  Stats are left alone (resetStats is
-  /// separate).
+  /// is expensive to create: the Z3 context, if a check has built one, and
+  /// isSat's Z3 solver, which holds no assertion between queries.  Drops
+  /// every sat/validity/implication cache entry, the term-to-Z3
+  /// translation memo, and getModel's Z3 solver, so witnesses stay those
+  /// of a fresh solver.  The pooled worker-context reset path calls this
+  /// before its overlay term factory is reset, so no cache survives that
+  /// is keyed by about-to-dangle TermRefs.  Stats are left alone
+  /// (resetStats is separate).
   void resetForReuse();
+  /// True once a check has reached Z3 and built this solver's context.
+  bool hasZ3Context() const { return Z3 != nullptr; }
   /// Join-point merge of a worker solver's counters into this solver's.
   void mergeStatsFrom(const Solver &Other) { Counters.mergeFrom(Other.Counters); }
 
@@ -174,7 +182,8 @@ public:
   bool fastPathEnabled() const { return FastPathEnabled; }
 
   /// The per-query Z3 timeout this solver was created with, so worker
-  /// solvers can be configured identically to the base session's.
+  /// solvers can be configured identically to the base session's.  Set on
+  /// each Z3 solver object when the context builds it.
   unsigned timeoutMs() const { return TimeoutMs; }
 
   /// The installed session extension, or null.
@@ -191,6 +200,9 @@ public:
 
 private:
   struct Impl;
+
+  /// The Z3 context and its solvers, built on first use.
+  Impl &z3Context();
 
   /// True when two conjuncts of \p Conj refute each other by the cheap
   /// implication check; the sat core's last resort before Z3.
@@ -212,6 +224,7 @@ private:
                       double SpanStartUs);
 
   TermFactory &Factory;
+  /// Null until the first check that reaches Z3 (see z3Context).
   std::unique_ptr<Impl> Z3;
   std::unique_ptr<SolverExtension> Ext;
   obs::Tracer *Trace = nullptr;

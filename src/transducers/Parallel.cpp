@@ -59,15 +59,19 @@ void WorkerContext::reset() {
   // Restore *observational* freshness: the next task must compute exactly
   // what it would in a brand-new context — same query counts, same cache
   // hits, same term ids, same constructed automata — no matter which
-  // thread runs it or what ran before.  Only the Z3 context and isSat's
-  // Z3 solver (the ~ms per-task constants pooling exists to kill)
-  // survive; that solver is empty between queries.
+  // thread runs it or what ran before.  Only the Z3 context, once a task
+  // has built it, and isSat's Z3 solver (the ~ms per-task constants
+  // pooling exists to kill) survive; that solver is empty between
+  // queries.
   //
-  // Order matters: the solver's translation memo and the guard cache's
-  // memos/trie are keyed by TermRefs into the overlay factory, so they
-  // are dropped before resetOverlay() frees those terms.
+  // Order matters: the solver's translation memo, the guard cache's
+  // memos/trie and the program cache (keys hash guard and output
+  // pointers; pooled Vms bind the overlay tree factory) are keyed by
+  // overlay pointers, so they are dropped before resetOverlay() frees or
+  // recycles them.
   Work.Solv.resetForReuse();
   WorkEngine.Guards.clearMemos();
+  Work.VmCache.reset();
   Work.Terms.resetOverlay();
   Work.Trees.resetOverlay();
   Work.Outputs.resetOverlay();

@@ -9,9 +9,10 @@
 /// shared tier: its interning factories answer lookups lock-free and its
 /// checked automata/transducers are immutable, so any number of workers
 /// may read them concurrently.  Everything mutable lives in a
-/// WorkerContext: an overlay Session (overlay factories, own Solver with
-/// its own Z3 context, own SessionEngine with guard cache, stats shard,
-/// trace buffer, provenance shard).
+/// WorkerContext: an overlay Session (overlay factories, own Solver, which
+/// builds its own Z3 context on the worker's first Z3 check, own
+/// SessionEngine with guard cache, stats shard, trace buffer, provenance
+/// shard, own program cache and Vm pool).
 ///
 /// ParallelRunner schedules N independent tasks over a small thread pool.
 /// Determinism is by construction, not by luck:
@@ -77,12 +78,13 @@ public:
   /// can reuse it.  Everything a task could observe is cleared — overlay
   /// factories (so term/tree/output ids restart where a fresh overlay's
   /// would), solver caches and the Z3 translation memo, guard-cache
-  /// memos and the minterm trie, construction stats, solver counters,
-  /// the slow-query shard, and the provenance Fired shard — because the
-  /// reuse contract is observational freshness: a task computes exactly
-  /// what it would in a new context (same counters, same byte-identical
-  /// products), no matter which thread runs it or what ran before.  Only
-  /// the Z3 *context* and isSat's Z3 solver (empty between queries)
+  /// memos and the minterm trie, the program cache with its Vm pool,
+  /// construction stats, solver counters, the slow-query shard, and the
+  /// provenance Fired shard — because the reuse contract is observational
+  /// freshness: a task computes exactly what it would in a new context
+  /// (same counters, same byte-identical products), no matter which
+  /// thread runs it or what ran before.  Only the Z3 *context*, once some
+  /// task has reached Z3, and isSat's Z3 solver (empty between queries)
   /// survive, which are the per-task construction constants pooling
   /// exists to avoid.  Only valid for contexts without a trace buffer
   /// (the runner never pools when tracing, because buffered events are
@@ -143,11 +145,13 @@ public:
   /// RetainWorkers nor an active trace), each pool thread builds one
   /// context lazily on its first claimed task and reuses it (reset
   /// between tasks) for the rest — at most min(threads, tasks) contexts
-  /// per run, never one per task, killing the per-task Z3-context setup
-  /// constant.  When contexts are retained, each task still gets a fresh
-  /// one, so results that point into worker factories (and replayed trace
-  /// buffers) stay byte-identical across -j values, and a context is
-  /// still only constructed by a thread that actually claimed a task.
+  /// per run, never one per task, so a pooled thread builds at most one
+  /// Z3 context, on its first task that reaches Z3, and keeps it warm.
+  /// A run whose tasks never reach Z3 builds none.  When contexts are
+  /// retained, each task still gets a fresh one, so results that point
+  /// into worker factories (and replayed trace buffers) stay
+  /// byte-identical across -j values, and a context is still only
+  /// constructed by a thread that actually claimed a task.
   std::vector<std::unique_ptr<WorkerContext>>
   run(size_t NumTasks, const std::function<void(size_t, WorkerContext &)> &Fn,
       bool RetainWorkers = false);

@@ -36,9 +36,11 @@ class ProgramCache;
 /// concurrent lookups; new interning throws FrozenFactoryError), and each
 /// worker builds an overlay Session whose factories resolve base structure
 /// to the base pointers while interning new nodes locally.  Each overlay
-/// owns its own Solver (its own Z3 context — Z3 contexts are thread-safe
-/// only when not shared) and its own SessionEngine, so workers never touch
-/// the base session's caches, stats, or tracer.
+/// owns its own Solver and its own SessionEngine, so workers never touch
+/// the base session's caches, stats, or tracer.  The Solver builds its own
+/// Z3 context (Z3 contexts are thread-safe only when not shared) on the
+/// overlay's first Z3 check, so an overlay whose guards the built-in tiers
+/// decide, or that only runs compiled programs, never builds one.
 struct Session {
   /// Tag selecting the worker-overlay constructor.
   struct OverlayTag {};
@@ -48,8 +50,9 @@ struct Session {
   OutputFactory Outputs;
   Solver Solv;
   /// Compiled-program cache of the vm data plane, created on first use by
-  /// vm::programCache(Session&).  Keyed by structural transducer identity;
-  /// overlay sessions get their own cache (compiled programs reference
+  /// vm::programCache(Session&), with the pool of idle Vms attachVm hands
+  /// to runners.  Keyed by structural transducer identity; overlay
+  /// sessions get their own cache (compiled programs reference
   /// overlay-interned guards that die with the overlay), while programs
   /// compiled against a base session before freeze() stay shareable.
   std::shared_ptr<vm::ProgramCache> VmCache;

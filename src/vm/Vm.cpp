@@ -53,7 +53,6 @@ Vm::Vm(std::shared_ptr<const VmProgram> Program, TreeFactory &Trees)
 SttrRunResult Vm::run(uint32_t State, TreeRef Input) {
   assert(State < P->NumStates && "state outside the compiled program");
   Arena.reset();
-  RunMemo.clear();
   // Presize the memo tables for what one run inserts: roughly one entry
   // per input node, but only a chain's head when chain tables run the
   // rest (HtmlE pages: 0.10 run and 0.14 lookahead entries per node).
@@ -62,7 +61,7 @@ SttrRunResult Vm::run(uint32_t State, TreeRef Input) {
   const bool HasChains = !P->Chains.empty() || !P->LaChains.empty();
   size_t Hint = std::min<size_t>(Input->size() / (HasChains ? 7 : 1),
                                  size_t(1) << 20);
-  RunMemo.reserve(Hint);
+  RunMemo.reset(Hint);
   if (P->NumLaStates > 0)
     LaMemo.reserve(Hint);
   ValStack.clear();
@@ -523,6 +522,39 @@ size_t ProgramCache::size() {
   return Programs.size() + Ineligible.size();
 }
 
+std::unique_ptr<Vm>
+ProgramCache::checkoutVm(std::shared_ptr<const VmProgram> Program,
+                         TreeFactory &Trees) {
+  std::unique_ptr<Vm> Machine;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    auto It = std::find_if(IdleVms.begin(), IdleVms.end(), [&](auto &Idle) {
+      return &Idle->program() == Program.get() && &Idle->trees() == &Trees;
+    });
+    if (It == IdleVms.end()) {
+      ++VmsBuilt;
+    } else {
+      Machine = std::move(*It);
+      *It = std::move(IdleVms.back());
+      IdleVms.pop_back();
+    }
+  }
+  if (!Machine)
+    return std::make_unique<Vm>(std::move(Program), Trees);
+  Machine->resetLookahead();
+  return Machine;
+}
+
+void ProgramCache::checkinVm(std::unique_ptr<Vm> Machine) {
+  std::lock_guard<std::mutex> Lock(M);
+  IdleVms.push_back(std::move(Machine));
+}
+
+size_t ProgramCache::vmsBuilt() {
+  std::lock_guard<std::mutex> Lock(M);
+  return VmsBuilt;
+}
+
 ProgramCache &fast::vm::programCache(Session &S) {
   if (!S.VmCache)
     S.VmCache = std::make_shared<ProgramCache>();
@@ -561,27 +593,30 @@ fast::vm::compiledProgram(Session &S, const Sttr &T, std::string *WhyNot,
 
 namespace {
 
-/// The hook installed on SttrRunner: one Vm per runner, program shared.
+/// The hook installed on SttrRunner: a Vm checked out of the session's
+/// pool for the runner's lifetime, program shared.
 class VmFastPath : public SttrEvalHook {
 public:
-  VmFastPath(std::shared_ptr<const VmProgram> Program, Session &S)
-      : Machine(std::move(Program), S.Trees), Eng(&S.engine()) {}
+  VmFastPath(std::shared_ptr<ProgramCache> Cache, std::unique_ptr<Vm> M,
+             engine::SessionEngine &Eng)
+      : Cache(std::move(Cache)), Machine(std::move(M)), Eng(&Eng) {}
+  ~VmFastPath() override { Cache->checkinVm(std::move(Machine)); }
 
   std::optional<SttrRunResult> tryRun(unsigned State,
                                       TreeRef Input) override {
-    if (State >= Machine.program().NumStates)
+    if (State >= Machine->program().NumStates)
       return std::nullopt; // Unknown state: structural fallback.
     engine::VmStats &VS = Eng->Stats.vm();
     obs::Tracer &Trace = Eng->Trace;
     const bool Traced = Trace.active();
     const double StartUs = Traced ? Trace.nowUs() : 0;
-    const Vm::Counters Before = Machine.counters();
+    const Vm::Counters Before = Machine->counters();
     const auto Start = std::chrono::steady_clock::now();
-    SttrRunResult R = Machine.run(State, Input);
+    SttrRunResult R = Machine->run(State, Input);
     const double Us = std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - Start)
                           .count();
-    const Vm::Counters &After = Machine.counters();
+    const Vm::Counters &After = Machine->counters();
     ++VS.Runs;
     VS.RunUs.record(Us);
     VS.Instructions += After.Instructions - Before.Instructions;
@@ -601,7 +636,8 @@ public:
   }
 
 private:
-  Vm Machine;
+  std::shared_ptr<ProgramCache> Cache;
+  std::unique_ptr<Vm> Machine;
   engine::SessionEngine *Eng;
 };
 
@@ -613,7 +649,9 @@ bool fast::vm::attachVm(SttrRunner &R, Session &S, const Sttr &T,
       compiledProgram(S, T, nullptr, std::move(Name));
   if (!P)
     return false;
-  R.setHook(std::make_shared<VmFastPath>(std::move(P), S));
+  std::unique_ptr<Vm> Machine = S.VmCache->checkoutVm(std::move(P), S.Trees);
+  R.setHook(std::make_shared<VmFastPath>(S.VmCache, std::move(Machine),
+                                         S.engine()));
   return true;
 }
 

@@ -2,6 +2,7 @@
 
 #include "apps/Html.h"
 #include "transducers/Run.h"
+#include "vm/Vm.h"
 
 #include <gtest/gtest.h>
 
@@ -215,6 +216,22 @@ TEST(SanitizerTest, StringLevelApi) {
   // Malformed input is rejected with a diagnostic, not mangled.
   EXPECT_FALSE(html::sanitizeHtmlString(S, Sani, "</div>", Error).has_value());
   EXPECT_FALSE(Error.empty());
+}
+
+// The set-up and the data path decide every guard below Z3, so the
+// session never pays for a Z3 context.
+TEST(SanitizerTest, DataPathBuildsNoZ3Context) {
+  Session S;
+  html::Sanitizer Sani = html::buildSanitizer(S, /*FixBug=*/true);
+  std::string Error;
+  ASSERT_TRUE(vm::compiledProgram(S, *Sani.Sani, &Error, "sanitizer"))
+      << Error;
+  std::optional<std::string> Out = html::sanitizeHtmlString(
+      S, Sani, html::generatePage(/*TargetBytes=*/8 << 10, /*Seed=*/5), Error);
+  ASSERT_TRUE(Out.has_value()) << Error;
+  EXPECT_EQ(S.stats().vm().Runs, 1u);
+  EXPECT_EQ(S.Solv.stats().Z3Checks, 0u);
+  EXPECT_FALSE(S.Solv.hasZ3Context());
 }
 
 /// \p Bytes letters and spaces with a quote every 11 bytes; \p Quotes are

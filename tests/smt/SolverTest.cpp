@@ -273,6 +273,70 @@ TEST_F(IncrementalSolverTest, ConjunctPairRefutationAvoidsZ3) {
   EXPECT_GT(S.stats().SubsumptionAnswers, 0u);
 }
 
+TEST_F(SolverTest, TiersBelowZ3BuildNoContext) {
+  // Trivial, built-in, cached, subsumption and pair-refutation answers,
+  // and validity, implication and equivalence riding on them.
+  EXPECT_TRUE(S.isSat(F.trueTerm()));
+  EXPECT_FALSE(S.isSat(F.falseTerm()));
+  EXPECT_TRUE(S.isSat(intLt(X, 4)));
+  EXPECT_TRUE(S.isSat(intLt(X, 4)));
+  EXPECT_TRUE(S.implies(F.mkAnd(intGt(X, 0), intLt(X, 4)), intGt(X, 0)));
+  EXPECT_TRUE(S.isValid(F.mkOr(intLt(X, 10), intGt(X, 5))));
+  EXPECT_TRUE(S.areEquivalent(intLt(X, 4), F.mkLe(X, F.intConst(3))));
+  std::vector<TermRef> Refuted = {F.mkEq(Tag, F.stringConst("a")),
+                                  F.mkEq(Tag, F.stringConst("b")),
+                                  squareIs(4)};
+  EXPECT_FALSE(S.isSat(F.mkAnd(Refuted)));
+  EXPECT_GT(S.stats().CacheHits, 0u);
+  EXPECT_GT(S.stats().SubsumptionAnswers, 0u);
+  EXPECT_EQ(S.stats().Z3Checks, 0u);
+  EXPECT_FALSE(S.hasZ3Context());
+}
+
+TEST_F(SolverTest, FirstZ3CheckBuildsTheContextOnce) {
+  EXPECT_FALSE(S.hasZ3Context());
+  EXPECT_TRUE(S.isSat(squareIs(4)));
+  EXPECT_EQ(S.stats().Z3Checks, 1u);
+  EXPECT_TRUE(S.hasZ3Context());
+  // Later checks run on the context the first one built.
+  EXPECT_FALSE(S.isSat(F.mkAnd(squareIs(4), intGt(X, 3))));
+  EXPECT_TRUE(S.isSat(F.mkAnd(squareIs(4), intLt(X, 0))));
+  EXPECT_EQ(S.stats().Z3Checks, 3u);
+  EXPECT_EQ(S.stats().UnknownAnswers, 0u);
+  EXPECT_EQ(S.stats().Z3CheckUs.count(), 3u);
+  EXPECT_TRUE(S.hasZ3Context());
+}
+
+TEST_F(SolverTest, GetModelBuildsTheContext) {
+  EXPECT_FALSE(S.hasZ3Context());
+  std::optional<AttrModel> Model = S.getModel(intGt(X, 41));
+  ASSERT_TRUE(Model.has_value());
+  EXPECT_GT(Model->at(X).getInt(), 41);
+  EXPECT_TRUE(S.hasZ3Context());
+  EXPECT_EQ(S.stats().Z3ModelChecks, 1u);
+}
+
+TEST_F(SolverTest, ResetForReuseBeforeAndAfterTheContext) {
+  S.resetForReuse();
+  EXPECT_FALSE(S.hasZ3Context());
+  EXPECT_TRUE(S.isSat(intLt(X, 4)));
+  EXPECT_FALSE(S.hasZ3Context());
+
+  EXPECT_TRUE(S.isSat(squareIs(4)));
+  ASSERT_TRUE(S.hasZ3Context());
+  S.resetForReuse();
+  // The context survives; the caches do not, so the same query reaches
+  // Z3 again, and getModel gets a fresh solver.
+  EXPECT_TRUE(S.hasZ3Context());
+  EXPECT_TRUE(S.isSat(squareIs(4)));
+  EXPECT_FALSE(S.isSat(F.mkAnd(squareIs(4), intGt(X, 3))));
+  EXPECT_EQ(S.stats().Z3Checks, 3u);
+  std::optional<AttrModel> Model =
+      S.getModel(F.mkAnd(squareIs(4), intLt(X, 0)));
+  ASSERT_TRUE(Model.has_value());
+  EXPECT_EQ(Model->at(X).getInt(), -2);
+}
+
 TEST(SolverTimeoutTest, TimeoutBelongsToEachSolver) {
   TermFactory F;
   Solver Short(F, /*TimeoutMs=*/50);

@@ -13,7 +13,9 @@
 #include "apps/ArTaggers.h"
 #include "support/Freeze.h"
 #include "transducers/Parallel.h"
+#include "vm/Vm.h"
 
+#include <atomic>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -439,8 +441,8 @@ TEST(ParallelRunnerTest, OversizedPoolBuildsNoContextForUnclaimedThreads) {
   SignatureRef Sig = makeBtSig();
   TreeLanguage Positive = makeAllPositiveLang(S, Sig);
   // Eight threads, two tasks: the pool is clamped to the task count, and
-  // no WorkerContext (with its Z3 context) is ever constructed for a
-  // thread that never claims a task.
+  // no WorkerContext is ever constructed for a thread that never claims a
+  // task.
   ParallelRunner Runner(S, 8);
   Runner.run(2, [&](size_t, WorkerContext &Worker) {
     Session &WS = Worker.session();
@@ -448,6 +450,69 @@ TEST(ParallelRunnerTest, OversizedPoolBuildsNoContextForUnclaimedThreads) {
   });
   EXPECT_GE(Runner.contextsBuilt(), 1u);
   EXPECT_LE(Runner.contextsBuilt(), 2u);
+}
+
+TEST(ParallelRunnerTest, PooledWorkerKeepsItsZ3ContextAcrossTasks) {
+  Session S;
+  TermRef X = S.Terms.attr(0, Sort::Int, "x");
+  // x * x = 4 is outside the built-in procedure: every task reaches Z3.
+  TermRef Square = S.Terms.mkEq(S.Terms.mkMul(X, X), S.Terms.intConst(4));
+  ParallelRunner Runner(S, 1);
+  std::vector<int> HadContext(4, -1);
+  Runner.run(4, [&](size_t K, WorkerContext &Worker) {
+    Solver &Solv = Worker.session().Solv;
+    HadContext[K] = Solv.hasZ3Context();
+    EXPECT_TRUE(Solv.isSat(Square));
+    EXPECT_TRUE(Solv.hasZ3Context());
+  });
+  // The first task built the context; reset() kept it for the rest, and
+  // cleared the caches, so every task still checked once.
+  EXPECT_EQ(HadContext, (std::vector<int>{0, 1, 1, 1}));
+  EXPECT_EQ(Runner.contextsBuilt(), 1u);
+  EXPECT_EQ(S.Solv.stats().Z3Checks, 4u);
+  EXPECT_FALSE(S.Solv.hasZ3Context());
+}
+
+TEST(ParallelRunnerTest, TasksThatNeverReachZ3BuildNoContext) {
+  Session S;
+  TermRef X = S.Terms.attr(0, Sort::Int, "x");
+  ParallelRunner Runner(S, 2);
+  std::atomic<unsigned> WithContext{0};
+  Runner.run(6, [&](size_t K, WorkerContext &Worker) {
+    // Linear bounds: the built-in procedure decides every check.
+    Session &WS = Worker.session();
+    TermRef Lo = WS.Terms.mkLt(WS.Terms.intConst(int64_t(K)), X);
+    TermRef Hi = WS.Terms.mkLt(X, WS.Terms.intConst(int64_t(K) + 2));
+    EXPECT_TRUE(WS.Solv.isSat(WS.Terms.mkAnd(Lo, Hi)));
+    EXPECT_FALSE(WS.Solv.isSat(WS.Terms.mkAnd(
+        Hi, WS.Terms.mkLt(WS.Terms.intConst(int64_t(K) + 5), X))));
+    if (WS.Solv.hasZ3Context())
+      ++WithContext;
+  });
+  EXPECT_EQ(WithContext.load(), 0u);
+  EXPECT_GT(S.Solv.stats().CoreChecks, 0u);
+  EXPECT_EQ(S.Solv.stats().Z3Checks, 0u);
+  EXPECT_FALSE(S.Solv.hasZ3Context());
+}
+
+TEST(ParallelRunnerTest, ResetDropsTheOverlayProgramCache) {
+  // Program keys hash guard and output pointers, and pooled Vms bind the
+  // overlay tree factory; resetOverlay() recycles both, so a reused
+  // context must compile afresh.
+  Session Base;
+  SignatureRef Sig = makeIListSig();
+  std::shared_ptr<Sttr> Caesar = makeMapCaesar(Base, Sig);
+  Base.engine();
+  Base.freeze();
+  WorkerContext Worker(Base);
+  Session &WS = Worker.session();
+  ASSERT_TRUE(vm::compiledProgram(WS, *Caesar, nullptr, "map"));
+  EXPECT_EQ(WS.stats().vm().ProgramsCompiled, 1u);
+  Worker.reset();
+  EXPECT_EQ(vm::programCache(WS).size(), 0u);
+  ASSERT_TRUE(vm::compiledProgram(WS, *Caesar, nullptr, "map"));
+  EXPECT_EQ(WS.stats().vm().ProgramsCompiled, 1u);
+  EXPECT_EQ(WS.stats().vm().CacheHits, 0u);
 }
 
 } // namespace
